@@ -76,6 +76,33 @@ std::map<std::string, double> DiffRates(const MetricsSnapshot& prev,
   return rates;
 }
 
+void IntervalStats::WriteJson(const MetricsRegistry& registry,
+                              JsonWriter* w) {
+  MetricsSnapshot snapshot = CaptureMetricsSnapshot(registry);
+  std::map<std::string, double> rates;
+  double interval = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (has_last_) {
+      rates = DiffRates(last_, snapshot);
+      interval = snapshot.at_seconds - last_.at_seconds;
+    }
+    last_ = snapshot;
+    has_last_ = true;
+  }
+  w->Key("snapshot");
+  snapshot.WriteJson(w);
+  w->Key("interval_seconds");
+  w->Number(interval);
+  w->Key("rates");
+  w->BeginObject();
+  for (const auto& [name, rate] : rates) {
+    w->Key(name);
+    w->Number(rate);
+  }
+  w->EndObject();
+}
+
 void MetricsSnapshot::WriteJson(JsonWriter* w) const {
   w->BeginObject();
   w->Key("at_seconds");

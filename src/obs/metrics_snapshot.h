@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "obs/metrics.h"
@@ -53,5 +54,18 @@ MetricsSnapshot CaptureMetricsSnapshot(const MetricsRegistry& registry);
 /// Empty when the interval is not positive.
 std::map<std::string, double> DiffRates(const MetricsSnapshot& prev,
                                         const MetricsSnapshot& cur);
+
+/// \brief The stats command's "snapshot", "interval_seconds" and "rates"
+/// members: the registry now, plus the counter rates since the previous
+/// call (none on the first call). Thread-safe.
+class IntervalStats {
+ public:
+  void WriteJson(const MetricsRegistry& registry, JsonWriter* w);
+
+ private:
+  std::mutex mu_;
+  MetricsSnapshot last_;
+  bool has_last_ = false;
+};
 
 }  // namespace ems

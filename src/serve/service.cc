@@ -1,14 +1,19 @@
 #include "serve/service.h"
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <istream>
 #include <mutex>
 #include <ostream>
+#include <span>
 
 #include "exec/parallel.h"
 #include "index/corpus_io.h"
 #include "index/topk_scheduler.h"
 #include "obs/context.h"
+#include "serve/match_options_schema.h"
 #include "util/json_parser.h"
 #include "util/json_writer.h"
 #include "util/log.h"
@@ -27,91 +32,10 @@ exec::ThreadPoolOptions PoolOptions(const ServiceOptions& options) {
   return pool;
 }
 
-Status ParseMatchOptions(const JsonValue& job, MatchOptions* out) {
-  const std::string labels = job.GetString("labels", "qgram");
-  if (labels == "none") out->label_measure = LabelMeasure::kNone;
-  else if (labels == "qgram") out->label_measure = LabelMeasure::kQGramCosine;
-  else if (labels == "levenshtein") {
-    out->label_measure = LabelMeasure::kLevenshtein;
-  } else if (labels == "jaro") {
-    out->label_measure = LabelMeasure::kJaroWinkler;
-  } else if (labels == "tokens") {
-    out->label_measure = LabelMeasure::kTokenJaccard;
-  } else {
-    return Status::InvalidArgument("unknown label measure '" + labels + "'");
-  }
-  out->ems.alpha = job.GetNumber(
-      "alpha", out->label_measure == LabelMeasure::kNone ? 1.0 : 0.5);
-  if (out->ems.alpha < 0.0 || out->ems.alpha > 1.0) {
-    return Status::InvalidArgument("alpha must be in [0, 1]");
-  }
-  out->ems.c = job.GetNumber("c", 0.8);
-  if (out->ems.c <= 0.0 || out->ems.c >= 1.0) {
-    return Status::InvalidArgument("c must be in (0, 1)");
-  }
-  const std::string engine = job.GetString("engine", "exact");
-  if (engine == "exact") out->engine = SimilarityEngine::kExact;
-  else if (engine == "estimated") out->engine = SimilarityEngine::kEstimated;
-  else return Status::InvalidArgument("unknown engine '" + engine + "'");
-  out->estimation_iterations = job.GetInt("iterations", 5);
-  out->match_composites = job.GetBool("composites", false);
-  out->composite.delta = job.GetNumber("delta", out->composite.delta);
-  const std::string selection = job.GetString("selection", "hungarian");
-  if (selection == "hungarian") {
-    out->selection = SelectionStrategy::kMaxTotalSimilarity;
-  } else if (selection == "greedy") {
-    out->selection = SelectionStrategy::kGreedy;
-  } else if (selection == "mutual") {
-    out->selection = SelectionStrategy::kMutualBest;
-  } else {
-    return Status::InvalidArgument("unknown selection '" + selection + "'");
-  }
-  out->min_match_similarity =
-      job.GetNumber("min_similarity", out->min_match_similarity);
-  out->min_edge_frequency =
-      job.GetNumber("min_edge_frequency", out->min_edge_frequency);
-  // Probabilistic matching (src/prob/): {"prob":true} switches the job
-  // to EM posterior selection; the knobs mirror ems_match's --prob-*.
-  out->prob.enabled = job.GetBool("prob", false);
-  out->prob.temperature = job.GetNumber("prob_temp", out->prob.temperature);
-  if (out->prob.temperature <= 0.0) {
-    return Status::InvalidArgument("prob_temp must be > 0");
-  }
-  out->prob.rtole = job.GetNumber("prob_tol", out->prob.rtole);
-  if (out->prob.rtole <= 0.0) {
-    return Status::InvalidArgument("prob_tol must be > 0");
-  }
-  out->prob.max_iterations = job.GetInt("prob_iters", out->prob.max_iterations);
-  if (out->prob.max_iterations < 1) {
-    return Status::InvalidArgument("prob_iters must be >= 1");
-  }
-  out->prob.min_confidence =
-      job.GetNumber("prob_min_confidence", out->prob.min_confidence);
-  if (out->prob.min_confidence < 0.0 || out->prob.min_confidence > 1.0) {
-    return Status::InvalidArgument("prob_min_confidence must be in [0, 1]");
-  }
-  return Status::OK();
-}
-
 void WriteNames(JsonWriter* w, const std::vector<std::string>& names) {
   w->BeginArray();
   for (const std::string& n : names) w->String(n);
   w->EndArray();
-}
-
-std::string RenderError(const std::string& id, const Status& status) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("error");
-  w.Key("code");
-  w.String(StatusCodeToString(status.code()));
-  w.Key("error");
-  w.String(status.message());
-  w.EndObject();
-  return w.str();
 }
 
 std::string RenderResult(const std::string& id, const MatchResult& result,
@@ -236,9 +160,243 @@ std::string ScoreBitsHex(double score) {
   return buf;
 }
 
-std::string RenderTopKResult(const std::string& id, const TopKRequest& request,
-                             const std::vector<index::TopKHit>& hits,
-                             const index::TopKStats& stats, double millis) {
+// The envelope keys of each request kind. Every other key of a job line
+// must be a row of the options schema; on append lines `delta` names the
+// delta file (streaming sessions take no composite threshold).
+bool IsEnvelopeKey(RequestKind kind, std::string_view key) {
+  static constexpr std::string_view kMatch[] = {"id", "log1", "log2",
+                                                "format"};
+  static constexpr std::string_view kTopK[] = {
+      "id", "query", "topk", "members", "corpus", "brute_force", "format"};
+  static constexpr std::string_view kAppend[] = {
+      "id", "cmd", "log1", "log2", "format", "traces", "delta"};
+  static constexpr std::string_view kAdmin[] = {"id", "cmd"};
+  std::span<const std::string_view> keys = kMatch;
+  if (kind == RequestKind::kTopK) keys = kTopK;
+  if (kind == RequestKind::kAppend) keys = kAppend;
+  if (kind == RequestKind::kAdmin) keys = kAdmin;
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+// Reads string member `key` into *out when present.
+Status ReadString(const JsonValue& doc, std::string_view key,
+                  std::string* out) {
+  const JsonValue* value = doc.Find(key);
+  if (value == nullptr) return Status::OK();
+  if (!value->is_string()) {
+    return Status::InvalidArgument("'" + std::string(key) +
+                                   "' must be a string");
+  }
+  *out = value->string_value();
+  return Status::OK();
+}
+
+// The client's id: a string, or an integer rendered in decimal.
+Status ReadId(const JsonValue& doc, std::string* id) {
+  const JsonValue* value = doc.Find("id");
+  if (value == nullptr) return Status::OK();
+  if (value->is_string()) {
+    *id = value->string_value();
+    return Status::OK();
+  }
+  const double number = value->number_value();
+  if (!value->is_number() || std::floor(number) != number ||
+      std::fabs(number) > 1e15) {
+    return Status::InvalidArgument("'id' must be a string or an integer");
+  }
+  *id = std::to_string(static_cast<long long>(number));
+  return Status::OK();
+}
+
+Status ReadPair(const JsonValue& doc, std::string* log1, std::string* log2,
+                std::string* format) {
+  EMS_RETURN_NOT_OK(ReadString(doc, "log1", log1));
+  EMS_RETURN_NOT_OK(ReadString(doc, "log2", log2));
+  EMS_RETURN_NOT_OK(ReadString(doc, "format", format));
+  if (log1->empty() || log2->empty()) {
+    return Status::InvalidArgument("job needs 'log1' and 'log2' paths");
+  }
+  return Status::OK();
+}
+
+Status ReadTraces(const JsonValue& doc,
+                  std::vector<std::vector<std::string>>* out) {
+  const JsonValue* traces = doc.Find("traces");
+  if (traces == nullptr) return Status::OK();
+  if (!traces->is_array()) {
+    return Status::InvalidArgument(
+        "'traces' must be an array of arrays of event names");
+  }
+  for (const JsonValue& trace : traces->array_items()) {
+    if (!trace.is_array()) {
+      return Status::InvalidArgument("each appended trace must be an array");
+    }
+    std::vector<std::string> names;
+    names.reserve(trace.array_items().size());
+    for (const JsonValue& event : trace.array_items()) {
+      if (!event.is_string()) {
+        return Status::InvalidArgument("trace events must be strings");
+      }
+      names.push_back(event.string_value());
+    }
+    out->push_back(std::move(names));
+  }
+  return Status::OK();
+}
+
+Status ReadTopK(const JsonValue& doc, TopKRequest* request) {
+  EMS_RETURN_NOT_OK(ReadString(doc, "query", &request->query));
+  if (request->query.empty()) {
+    return Status::InvalidArgument("topk request needs a 'query' log path");
+  }
+  if (const JsonValue* k = doc.Find("topk")) {
+    const double n = k->number_value();
+    if (!k->is_number() || std::floor(n) != n || n < 0 || n > INT_MAX) {
+      return Status::InvalidArgument("'topk' must be an integer >= 0");
+    }
+    request->k = static_cast<size_t>(n);
+  }
+  const JsonValue* members = doc.Find("members");
+  EMS_RETURN_NOT_OK(ReadString(doc, "corpus", &request->corpus));
+  if ((members != nullptr) == !request->corpus.empty()) {
+    return Status::InvalidArgument(
+        "topk request needs exactly one of 'members' or 'corpus'");
+  }
+  if (members != nullptr) {
+    if (!members->is_array() || members->array_items().empty()) {
+      return Status::InvalidArgument(
+          "'members' must be a non-empty array of log paths");
+    }
+    for (const JsonValue& item : members->array_items()) {
+      if (!item.is_string() || item.string_value().empty()) {
+        return Status::InvalidArgument("'members' entries must be paths");
+      }
+      request->members.push_back(item.string_value());
+    }
+  }
+  EMS_RETURN_NOT_OK(ReadString(doc, "format", &request->format));
+  if (const JsonValue* brute = doc.Find("brute_force")) {
+    if (!brute->is_bool()) {
+      return Status::InvalidArgument("'brute_force' must be true or false");
+    }
+    request->brute_force = brute->bool_value();
+  }
+  return Status::OK();
+}
+
+// Fills `request` from a parsed line; the id and kind are set before
+// anything is validated, so a failure still knows both.
+Status ReadRequest(const JsonValue& doc, Request* request) {
+  if (!doc.is_object()) {
+    return Status::InvalidArgument("request must be a JSON object");
+  }
+  EMS_RETURN_NOT_OK(ReadId(doc, &request->id));
+  if (const JsonValue* cmd = doc.Find("cmd")) {
+    request->kind = RequestKind::kAdmin;
+    if (!cmd->is_string()) {
+      return Status::InvalidArgument("'cmd' must be a string");
+    }
+    request->cmd = cmd->string_value();
+    if (request->cmd == "append") request->kind = RequestKind::kAppend;
+  } else if (doc.Find("query") != nullptr) {
+    request->kind = RequestKind::kTopK;
+  }
+
+  MatchOptionsParser parser;
+  for (const std::string& key : doc.object_keys()) {
+    if (IsEnvelopeKey(request->kind, key)) continue;
+    const MatchOptionSpec* spec = request->kind == RequestKind::kAdmin
+                                      ? nullptr
+                                      : FindMatchOption(key);
+    if (spec == nullptr) {
+      return Status::InvalidArgument("unknown key '" + key + "'");
+    }
+    EMS_RETURN_NOT_OK(parser.SetJson(*spec, *doc.Find(key)));
+  }
+  if (request->kind == RequestKind::kAdmin) return Status::OK();
+  EMS_ASSIGN_OR_RETURN(MatchOptions options, parser.Finish());
+
+  if (request->kind == RequestKind::kTopK) {
+    TopKRequest topk;
+    EMS_RETURN_NOT_OK(ReadTopK(doc, &topk));
+    topk.id = request->id;
+    topk.options = options;
+    request->body = std::move(topk);
+  } else if (request->kind == RequestKind::kAppend) {
+    AppendRequest append;
+    EMS_RETURN_NOT_OK(
+        ReadPair(doc, &append.log1, &append.log2, &append.format));
+    EMS_RETURN_NOT_OK(ReadString(doc, "delta", &append.delta));
+    EMS_RETURN_NOT_OK(ReadTraces(doc, &append.traces));
+    append.id = request->id;
+    append.options = options;
+    request->body = std::move(append);
+  } else {
+    JobRequest job;
+    EMS_RETURN_NOT_OK(ReadPair(doc, &job.log1, &job.log2, &job.format));
+    job.id = request->id;
+    job.options = options;
+    request->body = std::move(job);
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Result<T> ParseRequestAs(std::string_view line, RequestKind kind) {
+  Request request = ParseRequest(line);
+  if (!request.status.ok()) return request.status;
+  if (request.kind != kind) {
+    return Status::InvalidArgument("not a line of the expected kind");
+  }
+  return std::get<T>(std::move(request.body));
+}
+
+}  // namespace
+
+Request ParseRequest(std::string_view line) {
+  Request request;
+  Result<JsonValue> doc = ParseJson(line);
+  request.status = doc.ok() ? ReadRequest(*doc, &request) : doc.status();
+  return request;
+}
+
+Result<JobRequest> ParseJobRequest(std::string_view line) {
+  return ParseRequestAs<JobRequest>(line, RequestKind::kMatch);
+}
+
+Result<TopKRequest> ParseTopKRequest(std::string_view line) {
+  return ParseRequestAs<TopKRequest>(line, RequestKind::kTopK);
+}
+
+std::string RenderError(const std::string& id, const Status& status) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("id");
+  w.String(id);
+  w.Key("status");
+  w.String("error");
+  w.Key("code");
+  w.String(StatusCodeToString(status.code()));
+  w.Key("error");
+  w.String(status.message());
+  w.EndObject();
+  return w.str();
+}
+
+void BeginAdminResponse(JsonWriter* w, const std::string& id,
+                        const char* cmd) {
+  w->BeginObject();
+  w->Key("id");
+  w->String(id);
+  w->Key("status");
+  w->String("ok");
+  w->Key("cmd");
+  w->String(cmd);
+}
+
+std::string RenderTopK(const std::string& id, double millis, size_t k,
+                       int shards, const std::vector<RankedMember>& hits,
+                       const index::TopKStats& stats) {
   JsonWriter w;
   w.BeginObject();
   w.Key("id");
@@ -248,22 +406,25 @@ std::string RenderTopKResult(const std::string& id, const TopKRequest& request,
   w.Key("millis");
   w.Number(millis);
   w.Key("k");
-  w.Int(static_cast<long long>(request.k));
+  w.Int(static_cast<long long>(k));
+  if (shards >= 0) {
+    w.Key("shards");
+    w.Int(shards);
+  }
   w.Key("hits");
   w.BeginArray();
   for (size_t i = 0; i < hits.size(); ++i) {
-    const index::TopKHit& hit = hits[i];
     w.BeginObject();
     w.Key("member");
-    w.String(hit.name);
+    w.String(hits[i].member);
     w.Key("rank");
     w.Int(static_cast<long long>(i + 1));
     w.Key("score");
-    w.Number(hit.score);
+    w.Number(hits[i].score);
     w.Key("score_bits");
-    w.String(ScoreBitsHex(hit.score));
+    w.String(ScoreBitsHex(hits[i].score));
     w.Key("correspondences");
-    w.Int(static_cast<long long>(hit.match.correspondences.size()));
+    w.Int(static_cast<long long>(hits[i].correspondences));
     w.EndObject();
   }
   w.EndArray();
@@ -282,112 +443,6 @@ std::string RenderTopKResult(const std::string& id, const TopKRequest& request,
   w.EndObject();
   w.EndObject();
   return w.str();
-}
-
-}  // namespace
-
-Result<JobRequest> ParseJobRequest(const std::string& line) {
-  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("job request must be a JSON object");
-  }
-  JobRequest request;
-  request.id = doc.GetString("id", "");
-  if (request.id.empty()) {
-    const JsonValue* id = doc.Find("id");
-    if (id != nullptr && id->is_number()) {
-      request.id = std::to_string(id->GetInt("", 0));
-    }
-  }
-  request.log1 = doc.GetString("log1", "");
-  request.log2 = doc.GetString("log2", "");
-  if (request.log1.empty() || request.log2.empty()) {
-    return Status::InvalidArgument("job needs 'log1' and 'log2' paths");
-  }
-  request.format = doc.GetString("format", "auto");
-  EMS_RETURN_NOT_OK(ParseMatchOptions(doc, &request.options));
-  return request;
-}
-
-Result<AppendRequest> ParseAppendRequest(const std::string& line) {
-  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("append request must be a JSON object");
-  }
-  AppendRequest request;
-  request.id = doc.GetString("id", "");
-  request.log1 = doc.GetString("log1", "");
-  request.log2 = doc.GetString("log2", "");
-  if (request.log1.empty() || request.log2.empty()) {
-    return Status::InvalidArgument("append needs 'log1' and 'log2' paths");
-  }
-  request.format = doc.GetString("format", "auto");
-  request.delta = doc.GetString("delta", "");
-  const JsonValue* traces = doc.Find("traces");
-  if (traces != nullptr) {
-    if (!traces->is_array()) {
-      return Status::InvalidArgument(
-          "'traces' must be an array of arrays of event names");
-    }
-    for (const JsonValue& trace : traces->array_items()) {
-      if (!trace.is_array()) {
-        return Status::InvalidArgument("each appended trace must be an array");
-      }
-      std::vector<std::string> names;
-      names.reserve(trace.array_items().size());
-      for (const JsonValue& event : trace.array_items()) {
-        if (!event.is_string()) {
-          return Status::InvalidArgument("trace events must be strings");
-        }
-        names.push_back(event.string_value());
-      }
-      request.traces.push_back(std::move(names));
-    }
-  }
-  EMS_RETURN_NOT_OK(ParseMatchOptions(doc, &request.options));
-  return request;
-}
-
-bool IsTopKRequest(const JsonValue& doc) {
-  return doc.is_object() && doc.Find("query") != nullptr;
-}
-
-Result<TopKRequest> ParseTopKRequest(const std::string& line) {
-  EMS_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("topk request must be a JSON object");
-  }
-  TopKRequest request;
-  request.id = doc.GetString("id", "");
-  request.query = doc.GetString("query", "");
-  if (request.query.empty()) {
-    return Status::InvalidArgument("topk request needs a 'query' log path");
-  }
-  const int k = doc.GetInt("topk", 5);
-  if (k < 0) return Status::InvalidArgument("'topk' must be >= 0");
-  request.k = static_cast<size_t>(k);
-  const JsonValue* members = doc.Find("members");
-  request.corpus = doc.GetString("corpus", "");
-  if ((members != nullptr) == !request.corpus.empty()) {
-    return Status::InvalidArgument(
-        "topk request needs exactly one of 'members' or 'corpus'");
-  }
-  if (members != nullptr) {
-    if (!members->is_array() || members->array_items().empty()) {
-      return Status::InvalidArgument(
-          "'members' must be a non-empty array of log paths");
-    }
-    for (const JsonValue& item : members->array_items()) {
-      if (!item.is_string() || item.string_value().empty()) {
-        return Status::InvalidArgument("'members' entries must be paths");
-      }
-      request.members.push_back(item.string_value());
-    }
-  }
-  request.format = doc.GetString("format", "auto");
-  request.brute_force = doc.GetBool("brute_force", false);
-  EMS_RETURN_NOT_OK(ParseMatchOptions(doc, &request.options));
-  return request;
 }
 
 namespace {
@@ -418,11 +473,6 @@ ServiceOptions WithEffectiveObs(const ServiceOptions& options,
   return effective;
 }
 
-// Admin command of a parsed line, or empty when it is a match job.
-std::string AdminCommandOf(const JsonValue& doc) {
-  return doc.is_object() ? doc.GetString("cmd", "") : "";
-}
-
 }  // namespace
 
 BatchMatchService::BatchMatchService(const ServiceOptions& options)
@@ -444,16 +494,24 @@ BatchMatchService::BatchMatchService(const ServiceOptions& options)
 BatchMatchService::~BatchMatchService() = default;
 
 std::string BatchMatchService::HandleJobLine(const std::string& line) {
-  Result<JsonValue> doc = ParseJson(line);
-  if (doc.ok()) {
-    const std::string cmd = AdminCommandOf(*doc);
-    if (cmd == "append") return HandleAppendJob(line);
-    if (!cmd.empty()) {
-      return HandleAdminCommand(cmd, doc->GetString("id", ""));
-    }
-    if (IsTopKRequest(*doc)) return HandleTopKJob(line);
+  return HandleRequest(ParseRequest(line));
+}
+
+std::string BatchMatchService::HandleRequest(Request request) {
+  if (request.kind == RequestKind::kAdmin) {
+    return request.status.ok() ? HandleAdminCommand(request.cmd, request.id)
+                               : RenderError(request.id, request.status);
   }
-  return HandleMatchJob(line);
+  return RunJob(request, [&](const Job& job) -> Result<std::string> {
+    switch (request.kind) {
+      case RequestKind::kTopK:
+        return RunTopK(std::get<TopKRequest>(request.body), job);
+      case RequestKind::kAppend:
+        return RunAppend(std::get<AppendRequest>(request.body), job);
+      default:
+        return RunMatch(std::get<JobRequest>(request.body), job);
+    }
+  });
 }
 
 Result<std::shared_ptr<const index::CorpusIndex>>
@@ -499,188 +557,57 @@ BatchMatchService::GetOrBuildCorpus(const std::vector<std::string>& members,
   return shared;
 }
 
-std::string BatchMatchService::HandleTopKJob(const std::string& line) {
-  ObsIncrement(options_.obs, "serve.jobs_submitted");
-  ObsIncrement(options_.obs, "serve.topk_jobs");
-  jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  Timer timer;
+namespace {
 
-  Result<TopKRequest> request = ParseTopKRequest(line);
-  std::string request_id;
-  if (request.ok() && !request->id.empty()) {
-    request_id = request->id;
-  } else {
-    request_id =
-        "req-" +
-        std::to_string(next_request_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed));
-  }
+// What distinguishes the job kinds inside the shared envelope.
+struct JobKind {
+  const char* span_prefix;  // the per-job root span: prefix + request id
+  const char* log_name;     // the failure log line's first word
+  const char* counter;      // the per-kind submission counter, if any
+};
 
-  std::unique_ptr<ObsContext> job_obs;
-  if (flight_ != nullptr) job_obs = std::make_unique<ObsContext>();
-  ScopedSpan request_span(job_obs.get(), "topk:" + request_id);
-
-  Status failure = Status::OK();
-  std::string rendered;
-  if (!request.ok()) {
-    failure = request.status();
-  } else if (cancel_.cancelled()) {
-    failure = Status::Cancelled("service shutting down");
-  } else {
-    if (job_obs != nullptr) {
-      request->options.obs.context = job_obs.get();
-    }
-    std::vector<std::string> members = request->members;
-    if (!request->corpus.empty()) {
-      Result<std::vector<std::string>> listed =
-          index::ListCorpusFiles(request->corpus);
-      if (listed.ok()) {
-        members = *std::move(listed);
-      } else {
-        failure = listed.status();
-      }
-    }
-    if (failure.ok()) {
-      ScopedSpan build_span(job_obs.get(), "build_corpus");
-      Result<std::shared_ptr<const index::CorpusIndex>> corpus =
-          GetOrBuildCorpus(members, request->format, request->options);
-      build_span.End();
-      Result<std::shared_ptr<const EventLog>> query =
-          corpus.ok()
-              ? cache_.GetOrLoad(request->query, request->format)
-              : Result<std::shared_ptr<const EventLog>>(corpus.status());
-      if (!corpus.ok()) {
-        failure = corpus.status();
-      } else if (!query.ok()) {
-        failure = query.status();
-      } else {
-        index::TopKOptions opts;
-        opts.k = request->k;
-        opts.match = request->options;
-        // Candidate evaluations fan out on the service pool; when this
-        // job itself runs on a pool worker (RunStream, shard pools) the
-        // nested group degrades to serial inside the worker, which is
-        // exactly the per-job parallelism budget match jobs get.
-        opts.pool = &pool_;
-        opts.obs = options_.obs;  // index.* aggregates service-wide
-        opts.force_brute_force = request->brute_force;
-        index::TopKScheduler scheduler(**corpus, opts);
-        Result<std::vector<index::TopKHit>> hits = scheduler.Query(**query);
-        if (hits.ok()) {
-          rendered = RenderTopKResult(request_id, *request, *hits,
-                                      scheduler.stats(),
-                                      timer.ElapsedMillis());
-        } else {
-          failure = hits.status();
-        }
-      }
-    }
-  }
-  if (!failure.ok()) rendered = RenderError(request_id, failure);
-  request_span.End();
-
-  const double millis = timer.ElapsedMillis();
-  const bool ok = failure.ok();
-  ObsIncrement(options_.obs, ok ? "serve.jobs_ok" : "serve.jobs_failed");
-  ObsObserve(options_.obs, "serve.job_millis", millis);
-  ObsObserveQuantile(options_.obs,
-                     ok ? "serve.latency_ms.ok" : "serve.latency_ms.error",
-                     millis);
-  if (flight_ != nullptr) {
-    FlightRecord record;
-    record.request_id = request_id;
-    record.outcome = ok ? "ok" : "error";
-    record.error = failure.message();
-    record.millis = millis;
-    record.spans = job_obs->trace.Snapshot();
-    flight_->Record(std::move(record));
-  }
-  if (!ok && LogEnabled(LogLevel::kInfo)) {
-    LogInfo("topk " + request_id + " failed: " + failure.message());
-  }
-  jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  return rendered;
+const JobKind& JobKindOf(RequestKind kind) {
+  static const JobKind kMatch{"request:", "job", nullptr};
+  static const JobKind kTopK{"topk:", "topk", "serve.topk_jobs"};
+  static const JobKind kAppend{"append:", "append", "serve.append_jobs"};
+  if (kind == RequestKind::kTopK) return kTopK;
+  if (kind == RequestKind::kAppend) return kAppend;
+  return kMatch;
 }
 
-std::string BatchMatchService::HandleMatchJob(const std::string& line) {
+}  // namespace
+
+std::string BatchMatchService::RunJob(const Request& request,
+                                      const JobBody& body) {
+  const JobKind& kind = JobKindOf(request.kind);
   ObsIncrement(options_.obs, "serve.jobs_submitted");
+  if (kind.counter != nullptr) ObsIncrement(options_.obs, kind.counter);
   jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
   Timer timer;
 
   // Every job gets a request id — the client's, or an assigned req-N —
   // propagated into the job's span tree and the flight recorder.
-  Result<JobRequest> request = ParseJobRequest(line);
-  std::string request_id;
-  if (request.ok() && !request->id.empty()) {
-    request_id = request->id;
-  } else {
-    request_id =
-        "req-" +
-        std::to_string(next_request_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed));
-  }
+  const std::string id =
+      !request.id.empty()
+          ? request.id
+          : "req-" + std::to_string(next_request_seq_.fetch_add(
+                         1, std::memory_order_relaxed));
 
   // The per-job trace is private to the request (the shared registry
   // would interleave concurrent jobs); its span snapshot lands in the
   // flight recorder at completion.
   std::unique_ptr<ObsContext> job_obs;
   if (flight_ != nullptr) job_obs = std::make_unique<ObsContext>();
-  ScopedSpan request_span(job_obs.get(), "request:" + request_id);
+  ScopedSpan request_span(job_obs.get(), kind.span_prefix + id);
 
-  Status failure = Status::OK();
-  std::string rendered;
-  if (!request.ok()) {
-    failure = request.status();
-    rendered = RenderError(request_id, failure);
-  } else if (cancel_.cancelled()) {
-    failure = Status::Cancelled("service shutting down");
-    rendered = RenderError(request_id, failure);
-  } else {
-    if (job_obs != nullptr) {
-      request->options.obs.context = job_obs.get();
-    }
-    // A live streaming session covering this pair is authoritative: its
-    // in-memory log carries appended traces the on-disk file (and hence
-    // the parsed-log cache) never sees. Consulting it FIRST is what
-    // keeps an append-then-match sequence from serving a stale parse.
-    std::optional<Result<StreamMatchOutcome>> session_match =
-        stream_sessions_.TryMatch(*request, job_obs.get());
-    if (session_match.has_value()) {
-      if (session_match->ok()) {
-        rendered = RenderResult(request_id, (*session_match)->match,
-                                timer.ElapsedMillis());
-        RecordProbMetrics(options_.obs, (*session_match)->match);
-      } else {
-        failure = session_match->status();
-      }
-    } else {
-      ScopedSpan load_span(job_obs.get(), "load_logs");
-      Result<std::shared_ptr<const EventLog>> log1 =
-          cache_.GetOrLoad(request->log1, request->format);
-      Result<std::shared_ptr<const EventLog>> log2 =
-          log1.ok() ? cache_.GetOrLoad(request->log2, request->format)
-                    : Result<std::shared_ptr<const EventLog>>(log1.status());
-      load_span.End();
-      if (!log1.ok()) {
-        failure = log1.status();
-      } else if (!log2.ok()) {
-        failure = log2.status();
-      } else {
-        // Jobs parallelize across the pool, so each matching runs
-        // single-threaded inside its worker (nested ParallelFor on the
-        // same pool would degrade to inline execution anyway).
-        Matcher matcher(request->options);
-        Result<MatchResult> result = matcher.Match(**log1, **log2);
-        if (result.ok()) {
-          rendered = RenderResult(request_id, *result, timer.ElapsedMillis());
-          RecordProbMetrics(options_.obs, *result);
-        } else {
-          failure = result.status();
-        }
-      }
-    }
-    if (!failure.ok()) rendered = RenderError(request_id, failure);
-  }
+  Result<std::string> rendered =
+      !request.status.ok() ? Result<std::string>(request.status)
+      : cancel_.cancelled()
+          ? Result<std::string>(Status::Cancelled("service shutting down"))
+          : body(Job{id, job_obs.get(), timer});
+  const Status failure = rendered.ok() ? Status::OK() : rendered.status();
+  std::string response =
+      rendered.ok() ? std::move(rendered).value() : RenderError(id, failure);
   request_span.End();
 
   const double millis = timer.ElapsedMillis();
@@ -693,7 +620,7 @@ std::string BatchMatchService::HandleMatchJob(const std::string& line) {
                      millis);
   if (flight_ != nullptr) {
     FlightRecord record;
-    record.request_id = request_id;
+    record.request_id = id;
     record.outcome = ok ? "ok" : "error";
     record.error = failure.message();
     record.millis = millis;
@@ -701,77 +628,91 @@ std::string BatchMatchService::HandleMatchJob(const std::string& line) {
     flight_->Record(std::move(record));
   }
   if (!ok && LogEnabled(LogLevel::kInfo)) {
-    LogInfo("job " + request_id + " failed: " + failure.message());
+    LogInfo(std::string(kind.log_name) + " " + id +
+            " failed: " + failure.message());
   }
   jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return response;
+}
+
+Result<std::string> BatchMatchService::RunMatch(JobRequest& request,
+                                                const Job& job) {
+  request.options.obs.context = job.obs;
+  // A live streaming session covering this pair is authoritative: its
+  // in-memory log carries appended traces the on-disk file (and hence
+  // the parsed-log cache) never sees. Consulting it FIRST is what keeps
+  // an append-then-match sequence from serving a stale parse.
+  std::optional<Result<StreamMatchOutcome>> session_match =
+      stream_sessions_.TryMatch(request, job.obs);
+  if (session_match.has_value()) {
+    if (!session_match->ok()) return session_match->status();
+    std::string rendered = RenderResult(job.id, (*session_match)->match,
+                                        job.timer.ElapsedMillis());
+    RecordProbMetrics(options_.obs, (*session_match)->match);
+    return rendered;
+  }
+  ScopedSpan load_span(job.obs, "load_logs");
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> log1,
+                       cache_.GetOrLoad(request.log1, request.format));
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> log2,
+                       cache_.GetOrLoad(request.log2, request.format));
+  load_span.End();
+  // Jobs parallelize across the pool, so each matching runs
+  // single-threaded inside its worker (nested ParallelFor on the same
+  // pool would degrade to inline execution anyway).
+  Matcher matcher(request.options);
+  EMS_ASSIGN_OR_RETURN(MatchResult result, matcher.Match(*log1, *log2));
+  std::string rendered =
+      RenderResult(job.id, result, job.timer.ElapsedMillis());
+  RecordProbMetrics(options_.obs, result);
   return rendered;
 }
 
-std::string BatchMatchService::HandleAppendJob(const std::string& line) {
-  ObsIncrement(options_.obs, "serve.jobs_submitted");
-  ObsIncrement(options_.obs, "serve.append_jobs");
-  jobs_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  Timer timer;
-
-  Result<AppendRequest> request = ParseAppendRequest(line);
-  std::string request_id;
-  if (request.ok() && !request->id.empty()) {
-    request_id = request->id;
-  } else {
-    request_id =
-        "req-" +
-        std::to_string(next_request_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed));
+Result<std::string> BatchMatchService::RunTopK(TopKRequest& request,
+                                               const Job& job) {
+  request.options.obs.context = job.obs;
+  std::vector<std::string> members = request.members;
+  if (!request.corpus.empty()) {
+    EMS_ASSIGN_OR_RETURN(members, index::ListCorpusFiles(request.corpus));
   }
-
-  std::unique_ptr<ObsContext> job_obs;
-  if (flight_ != nullptr) job_obs = std::make_unique<ObsContext>();
-  ScopedSpan request_span(job_obs.get(), "append:" + request_id);
-
-  Status failure = Status::OK();
-  std::string rendered;
-  if (!request.ok()) {
-    failure = request.status();
-  } else if (cancel_.cancelled()) {
-    failure = Status::Cancelled("service shutting down");
-  } else {
-    Result<StreamAppendOutcome> outcome =
-        stream_sessions_.Append(*request, job_obs.get());
-    if (outcome.ok()) {
-      rendered =
-          RenderAppendResult(request_id, *outcome, timer.ElapsedMillis());
-      RecordProbMetrics(options_.obs, outcome->match);
-      if (outcome->graph_stats.appended_traces > 0) {
-        RefreshCorpusMember(request->log1, outcome->log_snapshot,
-                            request->format);
-      }
-    } else {
-      failure = outcome.status();
-    }
+  ScopedSpan build_span(job.obs, "build_corpus");
+  Result<std::shared_ptr<const index::CorpusIndex>> corpus =
+      GetOrBuildCorpus(members, request.format, request.options);
+  build_span.End();
+  if (!corpus.ok()) return corpus.status();
+  EMS_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> query,
+                       cache_.GetOrLoad(request.query, request.format));
+  index::TopKOptions opts;
+  opts.k = request.k;
+  opts.match = request.options;
+  // Candidate evaluations fan out on the service pool; when this job
+  // itself runs on a pool worker (RunStream, shard pools) the nested
+  // group degrades to serial inside the worker, which is exactly the
+  // per-job parallelism budget match jobs get.
+  opts.pool = &pool_;
+  opts.obs = options_.obs;  // index.* aggregates service-wide
+  opts.force_brute_force = request.brute_force;
+  index::TopKScheduler scheduler(**corpus, opts);
+  EMS_ASSIGN_OR_RETURN(std::vector<index::TopKHit> hits,
+                       scheduler.Query(*query));
+  std::vector<RankedMember> ranked;
+  for (const index::TopKHit& hit : hits) {
+    ranked.push_back({hit.name, hit.score, hit.match.correspondences.size()});
   }
-  if (!failure.ok()) rendered = RenderError(request_id, failure);
-  request_span.End();
+  return RenderTopK(job.id, job.timer.ElapsedMillis(), request.k,
+                    /*shards=*/-1, ranked, scheduler.stats());
+}
 
-  const double millis = timer.ElapsedMillis();
-  const bool ok = failure.ok();
-  ObsIncrement(options_.obs, ok ? "serve.jobs_ok" : "serve.jobs_failed");
-  ObsObserve(options_.obs, "serve.job_millis", millis);
-  ObsObserveQuantile(options_.obs,
-                     ok ? "serve.latency_ms.ok" : "serve.latency_ms.error",
-                     millis);
-  if (flight_ != nullptr) {
-    FlightRecord record;
-    record.request_id = request_id;
-    record.outcome = ok ? "ok" : "error";
-    record.error = failure.message();
-    record.millis = millis;
-    record.spans = job_obs->trace.Snapshot();
-    flight_->Record(std::move(record));
+Result<std::string> BatchMatchService::RunAppend(
+    const AppendRequest& request, const Job& job) {
+  EMS_ASSIGN_OR_RETURN(StreamAppendOutcome outcome,
+                       stream_sessions_.Append(request, job.obs));
+  std::string rendered =
+      RenderAppendResult(job.id, outcome, job.timer.ElapsedMillis());
+  RecordProbMetrics(options_.obs, outcome.match);
+  if (outcome.graph_stats.appended_traces > 0) {
+    RefreshCorpusMember(request.log1, outcome.log_snapshot, request.format);
   }
-  if (!ok && LogEnabled(LogLevel::kInfo)) {
-    LogInfo("append " + request_id + " failed: " + failure.message());
-  }
-  jobs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
   return rendered;
 }
 
@@ -822,39 +763,11 @@ std::string BatchMatchService::HandleAdminCommand(const std::string& cmd,
 
 std::string BatchMatchService::RenderStats(const std::string& id) {
   JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("cmd");
-  w.String("stats");
+  BeginAdminResponse(&w, id, "stats");
   w.Key("uptime_seconds");
   w.Number(UptimeSeconds());
   if (options_.obs != nullptr) {
-    MetricsSnapshot snapshot = CaptureMetricsSnapshot(options_.obs->metrics);
-    std::map<std::string, double> rates;
-    double interval = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      if (has_last_stats_) {
-        rates = DiffRates(last_stats_, snapshot);
-        interval = snapshot.at_seconds - last_stats_.at_seconds;
-      }
-      last_stats_ = snapshot;
-      has_last_stats_ = true;
-    }
-    w.Key("snapshot");
-    snapshot.WriteJson(&w);
-    w.Key("interval_seconds");
-    w.Number(interval);
-    w.Key("rates");
-    w.BeginObject();
-    for (const auto& [name, rate] : rates) {
-      w.Key(name);
-      w.Number(rate);
-    }
-    w.EndObject();
+    interval_stats_.WriteJson(options_.obs->metrics, &w);
   }
   w.Key("cache");
   w.BeginObject();
@@ -885,13 +798,7 @@ std::string BatchMatchService::RenderStats(const std::string& id) {
 std::string BatchMatchService::RenderHealth(const std::string& id) {
   const size_t depth = pool_.QueueDepth();
   JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("cmd");
-  w.String("health");
+  BeginAdminResponse(&w, id, "health");
   w.Key("healthy");
   w.Bool(!cancel_.cancelled());
   w.Key("draining");
@@ -912,13 +819,7 @@ std::string BatchMatchService::RenderHealth(const std::string& id) {
 
 std::string BatchMatchService::RenderSlow(const std::string& id) {
   JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.String(id);
-  w.Key("status");
-  w.String("ok");
-  w.Key("cmd");
-  w.String("slow");
+  BeginAdminResponse(&w, id, "slow");
   w.Key("flight_recorder");
   if (flight_ != nullptr) {
     flight_->WriteJson(&w);
@@ -942,20 +843,17 @@ size_t BatchMatchService::RunStream(std::istream& in, std::ostream& out) {
     // jobs must never delay a stats/health scrape. Appends are real work
     // (parse, graph maintenance, a warm match) and schedule on the pool
     // like any job.
-    Result<JsonValue> doc = ParseJson(line);
-    if (doc.ok()) {
-      const std::string cmd = AdminCommandOf(*doc);
-      if (!cmd.empty() && cmd != "append") {
-        std::string result =
-            HandleAdminCommand(cmd, doc->GetString("id", ""));
-        std::lock_guard<std::mutex> lock(out_mu);
-        out << result << "\n";
-        out.flush();
-        continue;
-      }
+    Request request = ParseRequest(line);
+    if (request.kind == RequestKind::kAdmin) {
+      std::string result = HandleRequest(std::move(request));
+      std::lock_guard<std::mutex> lock(out_mu);
+      out << result << "\n";
+      out.flush();
+      continue;
     }
-    group.Run([this, &out, &out_mu, line]() -> Status {
-      std::string result = HandleJobLine(line);
+    group.Run([this, &out, &out_mu,
+               request = std::move(request)]() mutable -> Status {
+      std::string result = HandleRequest(std::move(request));
       std::lock_guard<std::mutex> lock(out_mu);
       out << result << "\n";
       out.flush();

@@ -1,81 +1,44 @@
-// Concurrent batch matching service: newline-delimited JSON job requests
-// in, one JSON result line per job out. Jobs are scheduled on a
+// Concurrent batch matching service: newline-delimited JSON requests
+// in, one JSON response line per request out. Jobs are scheduled on a
 // ThreadPool behind an LRU log cache, so a stream of thousands of
 // matchings (the paper's Section-7 evaluation regime, warehouse
 // reconciliation sweeps) parses each log once and saturates every core.
 //
-// Job request (one JSON object per line; `log1`/`log2` required):
-//   {"id": "j1", "log1": "a.xes", "log2": "b.xes",
-//    "format": "auto|trace|csv|xes|mxml",
-//    "labels": "none|qgram|levenshtein|jaro|tokens",
-//    "alpha": 0.5, "c": 0.8, "engine": "exact|estimated",
-//    "iterations": 5, "composites": false, "delta": 0.005,
-//    "selection": "hungarian|greedy|mutual",
-//    "min_similarity": 0.05, "min_edge_frequency": 0.0,
-//    "prob": false, "prob_temp": 0.05, "prob_tol": 1e-6,
-//    "prob_iters": 50, "prob_min_confidence": 0.02}
+// A line is parsed once (ParseRequest) into a typed Request and
+// dispatched on its keys: `cmd` makes it an admin command or, with
+// "cmd": "append", a streaming append (docs/STREAMING.md); `query` makes
+// it a top-k corpus query (docs/CORPUS.md); anything else is a match job
+// over `log1` and `log2`. Besides its envelope keys (id, log1, log2,
+// format; query, topk, members, corpus, brute_force; cmd, traces and the
+// delta-file path on appends) a job line may carry only the rows of
+// serve/match_options_schema.h. Responses and their shapes are in
+// docs/CONCURRENCY.md; results are emitted in completion order, so
+// clients correlate by id.
 //
-// Result line (completion order; correlate by id):
-//   {"id": "j1", "status": "ok", "millis": 12.3,
-//    "correspondences": [{"left": [..], "right": [..],
-//                         "similarity": 0.81}, ...],
-//    "ems": {"iterations": 7, "formula_evaluations": 1234}}
-// or {"id": "j1", "status": "error", "code": "NotFound",
-//     "error": "..."}.
-// With "prob": true (docs/PROBABILISTIC.md) each correspondence gains a
-// "confidence" (its EM posterior mass) and the result a
-// "prob": {"iterations", "converged", "final_delta", "mean_entropy"}
-// object; non-prob responses are byte-identical to older builds. The
-// sharded router forwards job lines verbatim, so prob jobs work
-// unchanged under --shards/--tcp.
-//
-// Top-k corpus queries ride the same protocol, dispatched on the
-// `query` key (docs/CORPUS.md): rank the members of a corpus against
-// one query log and return the k best, exactly as a brute-force scan
-// would rank them but scheduled through the corpus index:
-//   {"id": "t1", "query": "q.xes", "topk": 5,
-//    "members": ["a.xes", ...]  |  "corpus": "warehouse/",
-//    "brute_force": false, ...match options as above}
-// ->
-//   {"id": "t1", "status": "ok", "millis": targeted, "k": 5,
-//    "hits": [{"member": "a.xes", "rank": 1, "score": 0.83,
-//              "score_bits": "3fe51eb851eb851f" (IEEE-754 hex, exact),
-//              "correspondences": 17}, ...],
-//    "index": {"candidates_retrieved": N, "pruned_by_bound": P,
-//              "exact_runs": E, "aborted_runs": A,
-//              "brute_force": false}}
-// Hits carry the ranking and per-member scores; for the full
-// correspondence list of one hit, issue a regular match job for that
-// pair (it is served from the same caches). Built corpus indexes are
-// cached in-process keyed by member content hashes, and persisted
-// through the artifact store, so repeated queries against one corpus
-// skip the build entirely.
-//
-// Admin commands ride the same NDJSON protocol (one object per line,
-// dispatched on the `cmd` key) and are answered inline — never queued
-// behind match jobs — so a saturated service still reports:
-//   {"cmd": "stats"}  -> metrics snapshot: counters, integer gauges,
-//                        per-outcome latency quantiles (p50/p90/p99),
-//                        interval rates since the previous stats call,
-//                        cache and pool gauges
-//   {"cmd": "health"} -> liveness: queue depth/capacity, threads,
-//                        jobs in flight, uptime
-//   {"cmd": "slow"}   -> flight-recorder dump: span trees of the N
-//                        slowest and N most recently failed requests
+// Admin commands are answered inline — never queued behind match jobs —
+// so a saturated service still reports: {"cmd": "stats"} (metrics
+// snapshot with latency quantiles and interval rates), {"cmd": "health"}
+// (liveness, queue depth), {"cmd": "slow"} (flight-recorder span trees of
+// the slowest and most recently failed requests).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "core/matcher.h"
 #include "exec/cancellation.h"
 #include "exec/thread_pool.h"
 #include "index/corpus_index.h"
+#include "index/topk_scheduler.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_snapshot.h"
 #include "serve/log_cache.h"
@@ -86,7 +49,7 @@
 namespace ems {
 
 struct ObsContext;
-class JsonValue;
+class JsonWriter;
 
 namespace serve {
 
@@ -133,7 +96,7 @@ struct ServiceOptions {
   size_t flight_failed_capacity = 16;
 };
 
-/// A parsed job line.
+/// A parsed match job.
 struct JobRequest {
   std::string id;
   std::string log1;
@@ -142,20 +105,8 @@ struct JobRequest {
   MatchOptions options;
 };
 
-/// Parses one NDJSON job line into a request (ParseError/InvalidArgument
-/// on malformed input).
-Result<JobRequest> ParseJobRequest(const std::string& line);
-
-/// Parses one {"cmd": "append"} streaming-ingestion line
-/// (docs/STREAMING.md): a match-job line plus either `traces` (array of
-/// arrays of event names appended to log1) or `delta` (a log file whose
-/// traces are appended), e.g.
-///   {"cmd": "append", "id": "a1", "log1": "live.xes", "log2": "ref.xes",
-///    "traces": [["receive", "check", "ship"]], ...match options}
-Result<AppendRequest> ParseAppendRequest(const std::string& line);
-
-/// A parsed top-k corpus query line. Exactly one of `members` / `corpus`
-/// is set.
+/// A parsed top-k corpus query. Exactly one of `members` / `corpus` is
+/// set.
 struct TopKRequest {
   std::string id;
   std::string query;                 // the query log's path
@@ -168,12 +119,53 @@ struct TopKRequest {
   MatchOptions options;
 };
 
-/// True when a parsed NDJSON line is a top-k query (has a `query` key);
-/// both services dispatch on this before the match-job path.
-bool IsTopKRequest(const JsonValue& doc);
+enum class RequestKind { kMatch, kTopK, kAppend, kAdmin };
 
-/// Parses one top-k query line.
-Result<TopKRequest> ParseTopKRequest(const std::string& line);
+/// One wire line, parsed once and dispatched by kind. `id` is the
+/// client's id even when `status` reports the line invalid, so every
+/// error response can carry it; `body` holds the typed request of a
+/// valid match, top-k or append line.
+struct Request {
+  RequestKind kind = RequestKind::kMatch;
+  std::string id;
+  std::string cmd;  // the admin command (kAdmin)
+  Status status;
+  std::variant<JobRequest, TopKRequest, AppendRequest> body;
+};
+
+/// Parses one NDJSON line. Never fails: an unparseable or invalid line
+/// yields a Request whose `status` says why (ParseError for bytes that
+/// are not JSON, InvalidArgument otherwise).
+Request ParseRequest(std::string_view line);
+
+/// A match job line (ParseError/InvalidArgument on malformed input).
+Result<JobRequest> ParseJobRequest(std::string_view line);
+
+/// A top-k query line.
+Result<TopKRequest> ParseTopKRequest(std::string_view line);
+
+/// The status:"error" response line of request `id`.
+std::string RenderError(const std::string& id, const Status& status);
+
+/// Opens an admin response object {"id", "status": "ok", "cmd"}; the
+/// caller writes the command's members and closes it.
+void BeginAdminResponse(JsonWriter* w, const std::string& id,
+                        const char* cmd);
+
+/// One member of a ranked top-k response.
+struct RankedMember {
+  std::string member;
+  double score = 0.0;
+  size_t correspondences = 0;
+};
+
+/// The ok response line of a top-k query. Scores also travel as their
+/// exact IEEE-754 bits ("score_bits", hex), which is what lets the
+/// sharded router merge per-shard rankings losslessly; `shards` is
+/// written when >= 0 (the router's merged response).
+std::string RenderTopK(const std::string& id, double millis, size_t k,
+                       int shards, const std::vector<RankedMember>& hits,
+                       const index::TopKStats& stats);
 
 /// \brief The batch matching service.
 ///
@@ -190,6 +182,10 @@ class BatchMatchService {
   /// result line (without trailing newline). Never fails: malformed
   /// requests render as status:"error" results.
   std::string HandleJobLine(const std::string& line);
+
+  /// HandleJobLine for an already parsed line (the sharded router's
+  /// entry: it parses each line once and hands shards the Request).
+  std::string HandleRequest(Request request);
 
   /// Reads lines from `in` until EOF, schedules match jobs on the pool,
   /// and writes one result line per job to `out` as jobs complete.
@@ -224,7 +220,7 @@ class BatchMatchService {
   /// Seconds since the service was constructed.
   double UptimeSeconds() const { return uptime_.ElapsedSeconds(); }
 
-  /// Jobs currently inside HandleMatchJob (racy snapshot; the sharded
+  /// Jobs currently inside RunJob (racy snapshot; the sharded
   /// router reads this for per-shard health).
   int64_t jobs_in_flight() const {
     return jobs_in_flight_.load(std::memory_order_relaxed);
@@ -243,9 +239,22 @@ class BatchMatchService {
   std::string RenderStats(const std::string& id);
   std::string RenderHealth(const std::string& id);
   std::string RenderSlow(const std::string& id);
-  std::string HandleMatchJob(const std::string& line);
-  std::string HandleTopKJob(const std::string& line);
-  std::string HandleAppendJob(const std::string& line);
+  // What a job body sees of its envelope (RunJob).
+  struct Job {
+    const std::string& id;  // the client's id or an assigned req-N
+    ObsContext* obs;        // the per-job trace context, or null
+    const Timer& timer;     // started when the job was submitted
+  };
+  using JobBody = std::function<Result<std::string>(const Job&)>;
+
+  /// The envelope every job runs in: submission counters and the
+  /// in-flight gauge, the request id, the per-job trace and span, the
+  /// cancellation check, error rendering, and the completion metrics,
+  /// flight record and failure log. `body` renders the ok response.
+  std::string RunJob(const Request& request, const JobBody& body);
+  Result<std::string> RunMatch(JobRequest& request, const Job& job);
+  Result<std::string> RunTopK(TopKRequest& request, const Job& job);
+  Result<std::string> RunAppend(const AppendRequest& request, const Job& job);
 
   /// Refreshes cached corpus indexes containing `path` after an append:
   /// the member is re-added from `log` (the session's appended state) so
@@ -274,11 +283,8 @@ class BatchMatchService {
   std::atomic<uint64_t> next_request_seq_{1};
   std::atomic<int64_t> jobs_in_flight_{0};
 
-  // Previous stats snapshot, so consecutive {"cmd":"stats"} calls report
-  // interval rates (counter deltas / elapsed seconds).
-  std::mutex stats_mu_;
-  MetricsSnapshot last_stats_;
-  bool has_last_stats_ = false;
+  // Consecutive {"cmd":"stats"} calls report interval rates.
+  IntervalStats interval_stats_;
 
   // Tiny MRU cache of built corpus indexes (shared so concurrent top-k
   // jobs read one immutable index). An index over a 1k-member corpus is

@@ -7,7 +7,8 @@
 // the boundary — a bounded per-shard inflight budget on top of each
 // shard pool's bounded queue, with explicit `overloaded` rejections
 // instead of unbounded buffering — and hands admitted jobs to the
-// shard's own ThreadPool / LogCache / ArtifactStore slice.
+// shard's own ThreadPool / LogCache / ArtifactStore slice. Each line is
+// parsed once, by the router; shards receive the parsed Request.
 //
 // Each shard is a full BatchMatchService: its own pool, its own parsed-
 // log LRU, its own artifact-store directory (`<cache_dir>/shard-<i>`),
@@ -19,7 +20,8 @@
 // out instead of routing to one shard: the router partitions the member
 // list by each member's consistent-hash owner, reserves admission on
 // every involved shard (all-or-nothing, with rollback), runs one
-// sub-query per shard over its member subset, and merges the per-shard
+// sub-query per shard — a copy of the parsed query, every option
+// included, narrowed to that shard's members — and merges the per-shard
 // top-k lists by (score desc, global member order) — scores travel as
 // exact IEEE-754 bit strings, so the merged ranking is the ranking the
 // single-process service would have produced over the whole corpus.
@@ -147,9 +149,7 @@ class ShardedMatchService : public net::LineHandler {
   struct Shard;
   struct TopKAggregate;
 
-  void EmitJobResponse(Shard& shard, const std::string& line,
-                       const net::EmitFn& emit);
-  void HandleTopK(const std::string& line, const net::EmitFn& emit);
+  void HandleTopK(Request request, const net::EmitFn& emit);
   void FinishShardJob(Shard& shard);
   std::string MergeTopKResponses(const TopKAggregate& aggregate) const;
   std::string HandleAdmin(const std::string& cmd, const std::string& id);
@@ -172,11 +172,8 @@ class ShardedMatchService : public net::LineHandler {
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  // Interval rates for the aggregated stats command, as in the single
-  // service.
-  std::mutex stats_mu_;
-  MetricsSnapshot last_stats_;
-  bool has_last_stats_ = false;
+  // Interval rates for the aggregated stats command.
+  IntervalStats interval_stats_;
 };
 
 }  // namespace serve

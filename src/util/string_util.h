@@ -1,8 +1,12 @@
 // Small string helpers shared by parsing and reporting code.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace ems {
@@ -30,5 +34,21 @@ std::string FormatDouble(double value, int precision);
 
 /// Escapes XML special characters (&, <, >, ", ').
 std::string XmlEscape(std::string_view s);
+
+/// Parses all of `s` as a T (an integer or floating-point type); false
+/// on empty input, whitespace, a sign '+', trailing characters ("0.8x"),
+/// a value outside T, inf or nan.
+template <typename T>
+bool ParseNumber(std::string_view s, T* out) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const std::from_chars_result parsed = std::from_chars(s.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
 
 }  // namespace ems

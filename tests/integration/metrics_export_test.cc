@@ -8,6 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 namespace ems {
@@ -158,6 +160,28 @@ TEST(MetricsExportTest, CacheDirExportsStoreCountersAndIdenticalResults) {
        {log1, log2, cold_metrics, warm_metrics, cold_out, warm_out}) {
     std::remove(f.c_str());
   }
+}
+
+// Malformed option values are usage errors — exit 2, nothing on stdout —
+// never a run with a coerced value.
+TEST(MetricsExportTest, MalformedOptionValuesExitTwoWithEmptyStdout) {
+  const std::string dir = TempDir();
+  const std::string log1 = dir + "/metrics_export_bad1.txt";
+  const std::string log2 = dir + "/metrics_export_bad2.txt";
+  const std::string out = dir + "/metrics_export_bad.out";
+  WriteFile(log1, "a;b;c;d\na;b;d\n");
+  WriteFile(log2, "a;b;c;d\na;c;b;d\n");
+  for (const char* flag : {"--alpha=abc", "--c=0.8x", "--threads=abc",
+                           "--topk=x", "--min-edge-frequency=5"}) {
+    const std::string cmd = std::string(EMS_MATCH_BINARY) + " " + flag +
+                            " " + log1 + " " + log2 + " > " + out +
+                            " 2> /dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    EXPECT_EQ(ReadFile(out), "") << cmd;
+  }
+  for (const std::string& f : {log1, log2, out}) std::remove(f.c_str());
 }
 
 TEST(MetricsExportTest, CompositeModeExportsCompositeCounters) {

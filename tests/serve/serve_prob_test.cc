@@ -101,7 +101,9 @@ TEST_F(ServeProbTest, BadProbParametersAreRejected) {
        {R"(,"prob":true,"prob_temp":0)", R"(,"prob":true,"prob_temp":-1)",
         R"(,"prob":true,"prob_tol":0)", R"(,"prob":true,"prob_iters":0)",
         R"(,"prob":true,"prob_min_confidence":1.5)",
-        R"(,"prob":true,"prob_min_confidence":-0.1)"}) {
+        R"(,"prob":true,"prob_min_confidence":-0.1)", R"(,"prob":"yes")",
+        R"(,"prob":true,"prob_iters":2.5)",
+        R"(,"prob":true,"prob_tol":"1e-3")"}) {
     const std::string line = service.HandleJobLine(Job(extra));
     EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos) << extra;
   }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,6 +217,21 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
       ParseJobRequest(R"({"log1":"a","log2":"b","engine":"warp"})").ok());
   EXPECT_FALSE(
       ParseJobRequest(R"({"log1":"a","log2":"b","selection":"best"})").ok());
+  // Values once accepted and silently coerced, ignored or misread.
+  for (const char* extra :
+       {R"("iterations":-3,"engine":"estimated")", R"("iterations":2.5)",
+        R"("min_edge_frequency":5)", R"("delta":-1,"composites":true)",
+        R"("min_similarity":-7)", R"("alhpa":0.5)", R"("alpha":"0.9")",
+        R"("prob":"yes")", R"("labels":"none","alpha":0.3)"}) {
+    const std::string line =
+        std::string(R"({"log1":"a","log2":"b",)") + extra + "}";
+    EXPECT_FALSE(ParseJobRequest(line).ok()) << line;
+  }
+  // On an append line `delta` is the delta-file path, never a number.
+  EXPECT_FALSE(
+      ParseRequest(
+          R"({"cmd":"append","log1":"a","log2":"b","delta":0.01})")
+          .status.ok());
 }
 
 TEST(BatchMatchServiceTest, HandlesJobsAndRendersErrors) {
@@ -243,6 +259,30 @@ TEST(BatchMatchServiceTest, HandlesJobsAndRendersErrors) {
 
   std::string bad_line = service.HandleJobLine("{broken");
   EXPECT_NE(bad_line.find("\"status\":\"error\""), std::string::npos);
+
+  // A rejected request keeps the client's id, on every job kind and for
+  // numeric ids, so the client can correlate the error.
+  const std::string pair =
+      R"("log1":")" + log1 + R"(","log2":")" + log2 + R"(")";
+  using Case = std::pair<std::string, std::string>;  // line, expected id
+  for (const auto& [line, id] : std::vector<Case>{
+           {R"({"id":"badalpha",)" + pair + R"(,"alpha":1.5})", "badalpha"},
+           {R"({"id":7,)" + pair + R"(,"c":1})", "7"},
+           {R"({"id":"badtopk","query":")" + log1 + R"(","members":[")" +
+                log2 + R"("],"alhpa":0.1})",
+            "badtopk"},
+           {R"({"id":8,"query":")" + log1 + R"(","members":[")" + log2 +
+                R"("],"topk":-1})",
+            "8"},
+           {R"({"cmd":"append","id":"badappend",)" + pair +
+                R"(,"delta":0.5})",
+            "badappend"}}) {
+    const std::string response = service.HandleJobLine(line);
+    EXPECT_NE(response.find("\"status\":\"error\""), std::string::npos)
+        << line;
+    EXPECT_NE(response.find("\"id\":\"" + id + "\""), std::string::npos)
+        << response;
+  }
 
   std::remove(log1.c_str());
   std::remove(log2.c_str());

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +144,24 @@ TEST_F(ShardedServiceTest, MalformedLinesRenderErrorsInline) {
       router.HandleLineSync("{\"id\":\"x\",\"log1\":\"only-one.xes\"}");
   EXPECT_NE(no_logs.find("\"status\":\"error\""), std::string::npos)
       << no_logs;
+  // Rejected options keep the client's id through the router as well.
+  using Case = std::pair<std::string, std::string>;  // line, expected id
+  for (const auto& [line, id] : std::vector<Case>{
+           {"{\"id\":\"badalpha\",\"log1\":\"" + log1_ + "\",\"log2\":\"" +
+                log2_ + "\",\"alpha\":1.5}",
+            "badalpha"},
+           {"{\"id\":7,\"log1\":\"" + log1_ + "\",\"log2\":\"" + log2_ +
+                "\",\"alhpa\":0.1}",
+            "7"},
+           {"{\"id\":\"badtopk\",\"query\":\"" + log1_ +
+                "\",\"members\":[\"" + log2_ + "\"],\"prob\":\"yes\"}",
+            "badtopk"}}) {
+    const std::string response = router.HandleLineSync(line);
+    EXPECT_NE(response.find("\"status\":\"error\""), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("\"id\":\"" + id + "\""), std::string::npos)
+        << response;
+  }
   EXPECT_EQ(router.obs()->metrics.CounterValue("net.protocol_errors"), 1u);
 }
 
@@ -273,53 +292,59 @@ TEST_F(ShardedServiceTest, TopKFanOutMergesToTheSingleServiceRanking) {
   for (const std::string& m : members) {
     member_list += (member_list.empty() ? "\"" : ",\"") + m + "\"";
   }
-  const std::string line = R"({"id":"tk1","query":")" + members[0] +
+  const std::string base = R"({"id":"tk1","query":")" + members[0] +
                            R"(","topk":4,"members":[)" + member_list +
-                           R"(],"labels":"qgram","alpha":0.5})";
+                           R"(],"labels":"qgram","alpha":0.5)";
+  // Every option reaches every shard: the prob query ranks by the EM
+  // posterior path on the shards exactly as in the single service.
+  for (const std::string& line :
+       {base + "}", base + R"(,"prob":true,"prob_min_confidence":0.9})"}) {
+    SCOPED_TRACE(line);
+    ShardedServiceOptions sharded_options;
+    sharded_options.num_shards = 2;
+    sharded_options.total_threads = 2;
+    ShardedMatchService router(sharded_options);
+    const std::string merged_line = router.HandleLineSync(line);
+    router.WaitDrained();
 
-  ShardedServiceOptions sharded_options;
-  sharded_options.num_shards = 2;
-  sharded_options.total_threads = 2;
-  ShardedMatchService router(sharded_options);
-  const std::string merged_line = router.HandleLineSync(line);
-  router.WaitDrained();
+    ServiceOptions plain_options;
+    plain_options.threads = 2;
+    BatchMatchService plain(plain_options);
+    const std::string plain_line = plain.HandleJobLine(line);
 
-  ServiceOptions plain_options;
-  plain_options.threads = 2;
-  BatchMatchService plain(plain_options);
-  const std::string plain_line = plain.HandleJobLine(line);
+    Result<JsonValue> merged = ParseJson(merged_line);
+    Result<JsonValue> single = ParseJson(plain_line);
+    ASSERT_TRUE(merged.ok()) << merged_line;
+    ASSERT_TRUE(single.ok()) << plain_line;
+    EXPECT_EQ(merged->GetString("status", ""), "ok") << merged_line;
+    EXPECT_EQ(single->GetString("status", ""), "ok") << plain_line;
+    // The hash ring decides the partition; at least one shard answered.
+    EXPECT_GE(merged->GetInt("shards", -1), 1);
 
-  Result<JsonValue> merged = ParseJson(merged_line);
-  Result<JsonValue> single = ParseJson(plain_line);
-  ASSERT_TRUE(merged.ok()) << merged_line;
-  ASSERT_TRUE(single.ok()) << plain_line;
-  EXPECT_EQ(merged->GetString("status", ""), "ok") << merged_line;
-  EXPECT_EQ(single->GetString("status", ""), "ok") << plain_line;
-  // The hash ring decides the partition; at least one shard answered.
-  EXPECT_GE(merged->GetInt("shards", -1), 1);
+    const JsonValue* mh = merged->Find("hits");
+    const JsonValue* sh = single->Find("hits");
+    ASSERT_NE(mh, nullptr);
+    ASSERT_NE(sh, nullptr);
+    ASSERT_EQ(mh->array_items().size(), 4u);
+    ASSERT_EQ(sh->array_items().size(), 4u);
+    for (size_t i = 0; i < 4; ++i) {
+      const JsonValue& a = mh->array_items()[i];
+      const JsonValue& b = sh->array_items()[i];
+      EXPECT_EQ(a.GetString("member", "?"), b.GetString("member", "!"))
+          << "rank " << i;
+      EXPECT_EQ(a.GetString("score_bits", "?"),
+                b.GetString("score_bits", "!"))
+          << "rank " << i;
+      EXPECT_EQ(a.GetInt("rank", -1), static_cast<int>(i) + 1);
+    }
+    // The query is members[0]; its family twins must lead the ranking.
+    EXPECT_EQ(mh->array_items()[0].GetString("member", ""), members[0]);
 
-  const JsonValue* mh = merged->Find("hits");
-  const JsonValue* sh = single->Find("hits");
-  ASSERT_NE(mh, nullptr);
-  ASSERT_NE(sh, nullptr);
-  ASSERT_EQ(mh->array_items().size(), 4u);
-  ASSERT_EQ(sh->array_items().size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    const JsonValue& a = mh->array_items()[i];
-    const JsonValue& b = sh->array_items()[i];
-    EXPECT_EQ(a.GetString("member", "?"), b.GetString("member", "!"))
-        << "rank " << i;
-    EXPECT_EQ(a.GetString("score_bits", "?"), b.GetString("score_bits", "!"))
-        << "rank " << i;
-    EXPECT_EQ(a.GetInt("rank", -1), static_cast<int>(i) + 1);
+    // The merged stats aggregate every shard's candidates.
+    const JsonValue* stats = merged->Find("index");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->GetInt("candidates_retrieved", -1), 6);
   }
-  // The query is members[0]; its family twins must lead the ranking.
-  EXPECT_EQ(mh->array_items()[0].GetString("member", ""), members[0]);
-
-  // The merged stats aggregate every shard's candidates.
-  const JsonValue* stats = merged->Find("index");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->GetInt("candidates_retrieved", -1), 6);
 
   for (const std::string& m : members) std::remove(m.c_str());
 }

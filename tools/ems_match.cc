@@ -13,51 +13,10 @@
 // With --cache-dir the built index persists as a corpus snapshot, so
 // re-querying an unchanged directory skips parsing and graph builds.
 //
-// Options:
-//   --corpus=DIR                  corpus directory (top-k mode)
-//   --topk=K                      hits to return (default 5)
-//   --brute-force                 rank by matching every member (the
-//                                 equivalence baseline for the index)
-//   --format=auto|trace|csv|xes|mxml  input format (default auto)
-//   --labels=none|qgram|levenshtein|jaro|tokens
-//                                 label similarity (default qgram)
-//   --alpha=F                     structural weight (default 0.5 with
-//                                 labels, forced to 1 with --labels=none)
-//   --c=F                         propagation decay (default 0.8)
-//   --engine=exact|estimated      similarity engine (default exact)
-//   --iterations=N                exact iterations for the estimated
-//                                 engine (default 5)
-//   --composites                  enable m:n composite matching
-//   --delta=F                     composite acceptance threshold (0.005)
-//   --selection=hungarian|greedy|mutual
-//   --min-similarity=F            correspondence threshold (default 0.05)
-//   --min-edge-frequency=F        dependency-graph edge filter (default 0)
-//   --threads=N                   worker threads for the EMS iteration
-//                                 and, with --composites, for parallel
-//                                 candidate evaluation (default hardware
-//                                 concurrency, 0 = serial)
-//   --prob                        probabilistic matching (src/prob/):
-//                                 EM posterior over the converged
-//                                 similarity, MAP selection with
-//                                 calibrated per-pair confidences
-//   --prob-temp=F                 softmax temperature (default 0.05)
-//   --prob-tol=F                  EM convergence tolerance (default 1e-6)
-//   --prob-iters=N                EM iteration cap (default 50)
-//   --prob-min-confidence=F       drop MAP pairs whose posterior is
-//                                 below F (default 0.02)
-//   --prob-out=PATH               write the full posterior as TSV
-//                                 (row, col, names, posterior, map flag)
-//   --matrix                      also print the similarity matrix
-//   --tsv                         machine-readable tab-separated output
-//   --json                        JSON output (correspondences + stats)
-//   --metrics-out=PATH            write a PipelineReport JSON (span tree,
-//                                 counters, gauges, histograms) to PATH
-//   --trace-out=PATH              write Chrome trace_event JSON to PATH
-//                                 (open in chrome://tracing / Perfetto)
-//   --cache-dir=PATH              persistent artifact store
-//                                 (docs/PERSISTENCE.md): parsed logs are
-//                                 snapshotted there and re-runs load the
-//                                 snapshot instead of re-parsing
+// The match options are the rows of src/serve/match_options_schema.cc,
+// spelled as flags (the wire key with '_' replaced by '-'); a usage error
+// prints them next to the tool's own flags.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -71,9 +30,11 @@
 #include "obs/context.h"
 #include "obs/report.h"
 #include "serve/log_cache.h"
+#include "serve/match_options_schema.h"
 #include "store/artifact_store.h"
 #include "store/hashing.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
@@ -81,32 +42,30 @@ namespace {
 using namespace ems;
 
 void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [options] LOG1 LOG2\n"
-               "run '%s --help' style options are documented at the top of "
-               "tools/ems_match.cc\n",
-               argv0, argv0);
+  std::fprintf(
+      stderr,
+      "usage: %s [options] LOG1 LOG2\n"
+      "       %s [options] --corpus=DIR [--topk=K] [--brute-force] QUERY\n"
+      "match options:\n%s"
+      "tool options:\n"
+      "  --format=auto|trace|csv|xes|mxml\n"
+      "                              input format (default auto)\n"
+      "  --threads=N                 worker threads (default hardware\n"
+      "                              concurrency, 0 = serial)\n"
+      "  --corpus=DIR                rank every log in DIR against QUERY\n"
+      "  --topk=K                    hits to return (default 5)\n"
+      "  --brute-force               rank by matching every member\n"
+      "  --matrix, --tsv, --json     similarity matrix / TSV / JSON output\n"
+      "  --prob-out=PATH             full posterior as TSV (with --prob)\n"
+      "  --metrics-out=PATH          PipelineReport JSON\n"
+      "  --trace-out=PATH            Chrome trace_event JSON\n"
+      "  --cache-dir=PATH            persistent artifact store\n",
+      argv0, argv0, serve::MatchOptionsUsage().c_str());
 }
 
 struct Flags {
   std::string format = "auto";
-  std::string labels = "qgram";
-  double alpha = 0.5;
-  bool alpha_set = false;
-  double c = 0.8;
-  std::string engine = "exact";
-  int iterations = 5;
-  bool composites = false;
-  double delta = 0.005;
-  std::string selection = "hungarian";
-  double min_similarity = 0.05;
-  double min_edge_frequency = 0.0;
   int threads = -1;  // -1 = unset -> hardware concurrency
-  bool prob = false;
-  double prob_temp = 0.05;
-  double prob_tol = 1e-6;
-  int prob_iters = 50;
-  double prob_min_confidence = 0.02;
   std::string prob_out;
   bool matrix = false;
   bool tsv = false;
@@ -117,6 +76,7 @@ struct Flags {
   std::string corpus;
   int topk = 5;
   bool brute_force = false;
+  MatchOptions options;
   std::vector<std::string> positional;
 };
 
@@ -129,79 +89,53 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
 
 Result<Flags> ParseArgs(int argc, char** argv) {
   Flags flags;
+  serve::MatchOptionsParser options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
-    if (arg == "--composites") flags.composites = true;
-    else if (arg == "--prob") flags.prob = true;
-    else if (ParseFlag(arg, "prob-temp", &value)) {
-      flags.prob_temp = std::atof(value.c_str());
-      if (flags.prob_temp <= 0.0) {
-        return Status::InvalidArgument("--prob-temp must be > 0");
-      }
-    } else if (ParseFlag(arg, "prob-tol", &value)) {
-      flags.prob_tol = std::atof(value.c_str());
-      if (flags.prob_tol <= 0.0) {
-        return Status::InvalidArgument("--prob-tol must be > 0");
-      }
-    } else if (ParseFlag(arg, "prob-iters", &value)) {
-      flags.prob_iters = std::atoi(value.c_str());
-      if (flags.prob_iters < 1) {
-        return Status::InvalidArgument("--prob-iters must be >= 1");
-      }
-    } else if (ParseFlag(arg, "prob-min-confidence", &value)) {
-      flags.prob_min_confidence = std::atof(value.c_str());
-      if (flags.prob_min_confidence < 0.0 || flags.prob_min_confidence > 1.0) {
-        return Status::InvalidArgument(
-            "--prob-min-confidence must be in [0, 1]");
-      }
-    } else if (ParseFlag(arg, "prob-out", &value)) {
-      flags.prob_out = value;
-    } else if (arg == "--matrix") flags.matrix = true;
+    if (arg == "--matrix") flags.matrix = true;
     else if (arg == "--tsv") flags.tsv = true;
     else if (arg == "--json") flags.json = true;
+    else if (arg == "--brute-force") flags.brute_force = true;
     else if (ParseFlag(arg, "format", &value)) flags.format = value;
-    else if (ParseFlag(arg, "labels", &value)) flags.labels = value;
-    else if (ParseFlag(arg, "alpha", &value)) {
-      flags.alpha = std::atof(value.c_str());
-      flags.alpha_set = true;
-    } else if (ParseFlag(arg, "c", &value)) flags.c = std::atof(value.c_str());
-    else if (ParseFlag(arg, "engine", &value)) flags.engine = value;
-    else if (ParseFlag(arg, "iterations", &value)) {
-      flags.iterations = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "delta", &value)) {
-      flags.delta = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "selection", &value)) flags.selection = value;
-    else if (ParseFlag(arg, "min-similarity", &value)) {
-      flags.min_similarity = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "min-edge-frequency", &value)) {
-      flags.min_edge_frequency = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "threads", &value)) {
-      flags.threads = std::atoi(value.c_str());
-      if (flags.threads < 0) {
-        return Status::InvalidArgument("--threads must be >= 0");
+    else if (ParseFlag(arg, "prob-out", &value)) flags.prob_out = value;
+    else if (ParseFlag(arg, "metrics-out", &value)) flags.metrics_out = value;
+    else if (ParseFlag(arg, "trace-out", &value)) flags.trace_out = value;
+    else if (ParseFlag(arg, "cache-dir", &value)) flags.cache_dir = value;
+    else if (ParseFlag(arg, "corpus", &value)) flags.corpus = value;
+    else if (ParseFlag(arg, "threads", &value)) {
+      if (!ParseNumber(value, &flags.threads) || flags.threads < 0) {
+        return Status::InvalidArgument("--threads must be an integer >= 0");
       }
-    } else if (ParseFlag(arg, "metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(arg, "trace-out", &value)) {
-      flags.trace_out = value;
-    } else if (ParseFlag(arg, "cache-dir", &value)) {
-      flags.cache_dir = value;
-    } else if (ParseFlag(arg, "corpus", &value)) {
-      flags.corpus = value;
     } else if (ParseFlag(arg, "topk", &value)) {
-      flags.topk = std::atoi(value.c_str());
-      if (flags.topk < 0) {
-        return Status::InvalidArgument("--topk must be >= 0");
+      if (!ParseNumber(value, &flags.topk) || flags.topk < 0) {
+        return Status::InvalidArgument("--topk must be an integer >= 0");
       }
-    } else if (arg == "--brute-force") {
-      flags.brute_force = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      return Status::InvalidArgument("unknown option '" + arg + "'");
+    } else if (StartsWith(arg, "--")) {
+      // A match option: the schema row named by the flag, '-' -> '_'.
+      const size_t eq = arg.find('=');
+      std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      std::replace(key.begin(), key.end(), '-', '_');
+      const serve::MatchOptionSpec* spec = serve::FindMatchOption(key);
+      if (spec == nullptr) {
+        return Status::InvalidArgument("unknown option '" + arg + "'");
+      }
+      const bool flag = spec->type == serve::OptionType::kFlag;
+      if (flag != (eq == std::string::npos)) {
+        return Status::InvalidArgument(
+            arg.substr(0, eq) + (flag ? " takes no value" : " needs a value"));
+      }
+      EMS_RETURN_NOT_OK(options.SetText(
+          *spec, eq == std::string::npos ? "" : arg.substr(eq + 1)));
     } else {
       flags.positional.push_back(arg);
     }
   }
+  EMS_ASSIGN_OR_RETURN(flags.options, options.Finish());
+  // CLI contract: default = hardware concurrency, 0 = serial. EmsOptions
+  // spells those 0 and 1 respectively.
+  flags.options.ems.num_threads =
+      flags.threads < 0 ? 0 : (flags.threads == 0 ? 1 : flags.threads);
   if (flags.corpus.empty()) {
     if (flags.positional.size() != 2) {
       return Status::InvalidArgument("expected exactly two log files");
@@ -211,64 +145,6 @@ Result<Flags> ParseArgs(int argc, char** argv) {
         "--corpus mode expects exactly one query log");
   }
   return flags;
-}
-
-Result<MatchOptions> ToMatchOptions(const Flags& flags) {
-  MatchOptions options;
-  if (flags.labels == "none") options.label_measure = LabelMeasure::kNone;
-  else if (flags.labels == "qgram") {
-    options.label_measure = LabelMeasure::kQGramCosine;
-  } else if (flags.labels == "levenshtein") {
-    options.label_measure = LabelMeasure::kLevenshtein;
-  } else if (flags.labels == "jaro") {
-    options.label_measure = LabelMeasure::kJaroWinkler;
-  } else if (flags.labels == "tokens") {
-    options.label_measure = LabelMeasure::kTokenJaccard;
-  } else {
-    return Status::InvalidArgument("unknown label measure '" + flags.labels +
-                                   "'");
-  }
-  options.ems.alpha = options.label_measure == LabelMeasure::kNone
-                          ? 1.0
-                          : (flags.alpha_set ? flags.alpha : 0.5);
-  if (options.ems.alpha < 0.0 || options.ems.alpha > 1.0) {
-    return Status::InvalidArgument("--alpha must be in [0, 1]");
-  }
-  if (flags.c <= 0.0 || flags.c >= 1.0) {
-    return Status::InvalidArgument("--c must be in (0, 1)");
-  }
-  options.ems.c = flags.c;
-  if (flags.engine == "exact") options.engine = SimilarityEngine::kExact;
-  else if (flags.engine == "estimated") {
-    options.engine = SimilarityEngine::kEstimated;
-  } else {
-    return Status::InvalidArgument("unknown engine '" + flags.engine + "'");
-  }
-  options.estimation_iterations = flags.iterations;
-  options.match_composites = flags.composites;
-  options.composite.delta = flags.delta;
-  if (flags.selection == "hungarian") {
-    options.selection = SelectionStrategy::kMaxTotalSimilarity;
-  } else if (flags.selection == "greedy") {
-    options.selection = SelectionStrategy::kGreedy;
-  } else if (flags.selection == "mutual") {
-    options.selection = SelectionStrategy::kMutualBest;
-  } else {
-    return Status::InvalidArgument("unknown selection '" + flags.selection +
-                                   "'");
-  }
-  options.min_match_similarity = flags.min_similarity;
-  options.min_edge_frequency = flags.min_edge_frequency;
-  options.prob.enabled = flags.prob;
-  options.prob.temperature = flags.prob_temp;
-  options.prob.rtole = flags.prob_tol;
-  options.prob.max_iterations = flags.prob_iters;
-  options.prob.min_confidence = flags.prob_min_confidence;
-  // CLI contract: default = hardware concurrency, 0 = serial. EmsOptions
-  // spells those 0 and 1 respectively.
-  options.ems.num_threads =
-      flags.threads < 0 ? 0 : (flags.threads == 0 ? 1 : flags.threads);
-  return options;
 }
 
 std::string JoinNames(const std::vector<std::string>& names) {
@@ -325,12 +201,7 @@ Status WritePosteriorTsv(const std::string& path, const MatchResult& result,
 
 int RunCorpusQuery(const Flags& flags, store::ArtifactStore* store,
                    ObsContext* obs) {
-  Result<MatchOptions> options = ToMatchOptions(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "error: %s\n", options.status().message().c_str());
-    return 2;
-  }
-  MatchOptions match_options = *options;
+  MatchOptions match_options = flags.options;
   if (obs != nullptr) match_options.obs.context = obs;
   // Parallelism goes across candidates, not inside one EMS run.
   match_options.ems.num_threads = 1;
@@ -514,13 +385,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Result<MatchOptions> options = ToMatchOptions(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "error: %s\n", options.status().message().c_str());
-    return 2;
-  }
-
-  MatchOptions match_options = *options;
+  MatchOptions match_options = flags.options;
   if (want_obs) match_options.obs.context = &obs;
 
   Matcher matcher(match_options);
@@ -571,22 +436,10 @@ int main(int argc, char** argv) {
       Result<uint64_t> h1 = store::HashFile(flags.positional[0]);
       Result<uint64_t> h2 = store::HashFile(flags.positional[1]);
       if (h1.ok() && h2.ok()) {
-        store::FingerprintBuilder fp;
-        fp.Add("labels", flags.labels)
-            .Add("alpha", match_options.ems.alpha)
-            .Add("c", match_options.ems.c)
-            .Add("engine", flags.engine)
-            .Add("composites", flags.composites)
-            .Add("min_similarity", flags.min_similarity)
-            .Add("min_edge_frequency", flags.min_edge_frequency)
-            .Add("prob_temp", flags.prob_temp)
-            .Add("prob_tol", flags.prob_tol)
-            .Add("prob_iters", static_cast<uint64_t>(flags.prob_iters))
-            .Add("prob_min_confidence", flags.prob_min_confidence);
         store::ArtifactKey key{
             store::ArtifactKind::kSoftMatch,
             store::Hash64(store::HashHex(*h1) + ":" + store::HashHex(*h2)),
-            fp.Finish()};
+            serve::MatchOptionsFingerprint(match_options)};
         store_ptr->Store(key, store::EncodeSoftMatch(*result->soft));
       }
     }
