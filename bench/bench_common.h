@@ -1,6 +1,8 @@
 // Shared machinery of the figure-reproduction benches: each binary
 // regenerates the corpus deterministically, runs the methods of
-// Section 5, and prints the same series the paper's figure plots.
+// Section 5, and prints the same series the paper's figure plots. Every
+// bench parses its flags and environment through Init, whose rows are
+// below.
 //
 // When the EMS_BENCH_JSON_DIR environment variable names a directory,
 // every RunGroup call additionally instruments its runs with an
@@ -9,6 +11,7 @@
 // the per-phase wall-time breakdown (graph_build, ems_fixpoint, ...).
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -24,29 +27,56 @@
 #include "exec/thread_pool.h"
 #include "obs/context.h"
 #include "synth/dataset.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/timer.h"
 
 namespace ems {
 namespace bench {
 
-/// Requested worker threads for the RunGroup sweeps. Settable via
-/// `--threads=N` (see Init) or the EMS_BENCH_THREADS environment
-/// variable; -1 (unset) means hardware concurrency, 0 means serial.
-inline int& BenchThreadsFlag() {
-  static int threads = [] {
-    const char* env = std::getenv("EMS_BENCH_THREADS");
-    return env != nullptr ? std::atoi(env) : -1;
-  }();
-  return threads;
+/// The flags every bench shares.
+struct CommonFlags {
+  int threads;
+};
+
+inline const OptionSpec<CommonFlags> kCommonFlags[] = {
+    ThreadsOption<CommonFlags>()};
+
+/// The environment every bench reads.
+struct BenchEnv {
+  double scale;
+  int pairs_per_size;
+  std::string json_dir;
+};
+
+inline const OptionSpec<BenchEnv> kBenchEnv[] = {
+    {.key = "EMS_BENCH_SCALE", .fallback = 1, .min = 0, .max = 1,
+     .min_open = true,
+     .doc = "corpus scale of the figure benches (1: the paper's 149 pairs)",
+     EMS_OPTION_FIELD(BenchEnv, scale)},
+    {.key = "EMS_BENCH_PAIRS_PER_SIZE", .type = OptionType::kInteger,
+     .fallback = 5, .min = 1,
+     .doc = "pairs per rung of the scalability and dislocation sweeps",
+     EMS_OPTION_FIELD(BenchEnv, pairs_per_size)},
+    {.key = "EMS_BENCH_JSON_DIR", .type = OptionType::kText, .choices = "DIR",
+     .doc = "write BENCH_<figure>.json with per-phase breakdowns to DIR",
+     EMS_OPTION_FIELD(BenchEnv, json_dir)},
+};
+
+/// The shared flags and environment as parsed by Init (the rows'
+/// defaults before it runs).
+struct BenchSettings {
+  CommonFlags flags = OptionParser<CommonFlags>(kCommonFlags).target();
+  BenchEnv env = OptionParser<BenchEnv>(kBenchEnv).target();
+};
+
+inline BenchSettings& Settings() {
+  static BenchSettings settings;
+  return settings;
 }
 
 /// Effective worker count (>= 1; 1 = serial sweeps).
-inline int BenchWorkers() {
-  const int t = BenchThreadsFlag();
-  if (t < 0) return exec::ThreadPool::EffectiveThreads(0);
-  return t == 0 ? 1 : t;
-}
+inline int BenchWorkers() { return std::max(Settings().flags.threads, 1); }
 
 /// The pool shared by every RunGroup sweep of this binary, or null when
 /// running serially. Sized on first use — call Init before RunGroup.
@@ -56,19 +86,21 @@ inline exec::ThreadPool* BenchPool() {
   return &pool;
 }
 
-/// Parses the shared bench flags (currently `--threads=N`) from argv.
-/// Call at the top of main, before the first RunGroup.
-inline void Init(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      BenchThreadsFlag() = std::atoi(arg.substr(prefix.size()).c_str());
-    } else {
-      std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                   arg.c_str());
-    }
+/// Parses argv once through the shared --threads row and then `own`
+/// (a bench's own rows), and the environment through kBenchEnv. Any
+/// usage error prints the generated usage text and exits 2. Call at the
+/// top of main, before the first RunGroup.
+template <typename... Own>
+void Init(int argc, char** argv, OptionParser<Own>&... own) {
+  OptionParser<CommonFlags> common(kCommonFlags);
+  OptionParser<BenchEnv> env(kBenchEnv);
+  Status parsed = ParseArgs(argc, argv, nullptr, common, own...);
+  if (parsed.ok()) parsed = ParseEnv(env);
+  if (!parsed.ok()) {
+    std::exit(UsageError(parsed, argv[0], "[options], reading EMS_BENCH_*",
+                         common, own...));
   }
+  Settings() = {common.target(), env.target()};
 }
 
 /// Aggregated outcome of running one method over a group of log pairs.
@@ -112,13 +144,10 @@ inline std::string BenchCompiler() {
 }
 
 /// Directory for BENCH_*.json exports, or empty when disabled.
-inline const std::string& BenchJsonDir() {
-  static const std::string dir = [] {
-    const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-    return std::string(env != nullptr ? env : "");
-  }();
-  return dir;
-}
+inline const std::string& BenchJsonDir() { return Settings().env.json_dir; }
+
+/// Pairs per rung of the scalability and dislocation sweeps.
+inline int BenchPairsPerSize() { return Settings().env.pairs_per_size; }
 
 /// Collects one benchmark binary's group records and writes
 /// BENCH_<figure>.json on destruction (program exit). PrintHeader names
@@ -292,14 +321,12 @@ inline void PrintHeader(const char* figure, const char* description) {
   BenchJsonRecorder::Instance().SetFigure(figure, description);
 }
 
-/// The corpus used by the singleton-matching figures. Scaled by the
-/// EMS_BENCH_SCALE environment variable (1 = the paper's 149 pairs;
-/// smaller values shrink groups proportionally for quick runs).
+/// The corpus used by the singleton-matching figures, scaled by
+/// EMS_BENCH_SCALE (smaller values shrink groups proportionally for
+/// quick runs).
 inline RealisticDatasetOptions ScaledDatasetOptions() {
   RealisticDatasetOptions opts;
-  const char* scale_env = std::getenv("EMS_BENCH_SCALE");
-  double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
-  if (scale <= 0.0 || scale > 1.0) scale = 1.0;
+  const double scale = Settings().env.scale;
   auto scaled = [scale](int n) {
     int v = static_cast<int>(n * scale);
     return v < 1 ? 1 : v;

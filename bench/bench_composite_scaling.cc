@@ -17,14 +17,14 @@
 // headline end-to-end speedup (reference serial / incremental 4-thread,
 // prunings on).
 //
-// Flags: --activities=N (default 14), --traces=N (default 600),
-//        --composites=N (default 3), --reps=N (default 3), --seed=N.
+// Flags: the rows of kFlags below; a usage error prints them.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/composite_matcher.h"
 #include "synth/dataset.h"
 #include "text/label_similarity.h"
@@ -33,6 +33,8 @@
 
 namespace ems {
 namespace {
+
+using enum OptionType;
 
 struct Config {
   const char* name;
@@ -122,8 +124,8 @@ bool BitIdentical(const CompositeMatchResult& ref,
 
 void WriteJson(const std::vector<ConfigResult>& results, int activities,
                int traces, int reps, double speedup) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -167,7 +169,7 @@ void WriteJson(const std::vector<ConfigResult>& results, int activities,
   }
   w.EndArray();
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_composite.json";
+  const std::string path = dir + "/BENCH_composite.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -179,30 +181,32 @@ void WriteJson(const std::vector<ConfigResult>& results, int activities,
   else std::remove(tmp.c_str());
 }
 
+struct Flags {
+  int activities;
+  int traces;
+  int composites;
+  int reps;
+  uint64_t seed;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "activities", .type = kInteger, .fallback = 14, .min = 4,
+     .doc = "activities per process", EMS_OPTION_FIELD(Flags, activities)},
+    {.key = "traces", .type = kInteger, .fallback = 600, .min = 1,
+     .doc = "traces per log", EMS_OPTION_FIELD(Flags, traces)},
+    {.key = "composites", .type = kInteger, .fallback = 3, .min = 0,
+     .doc = "composite events injected", EMS_OPTION_FIELD(Flags, composites)},
+    {.key = "reps", .type = kInteger, .fallback = 3, .min = 1,
+     .doc = "timed repetitions per configuration",
+     EMS_OPTION_FIELD(Flags, reps)},
+    {.key = "seed", .type = kInteger, .fallback = 4, .min = 0,
+     .doc = "instance seed", EMS_OPTION_FIELD(Flags, seed)},
+};
+
 int Main(int argc, char** argv) {
-  int activities = 14;
-  int traces = 600;
-  int composites = 3;
-  int reps = 3;
-  uint64_t seed = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const std::string p = prefix;
-      return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
-    };
-    if (const char* v = value("--activities=")) activities = std::atoi(v);
-    else if (const char* v = value("--traces=")) traces = std::atoi(v);
-    else if (const char* v = value("--composites=")) composites = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--seed=")) seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
-  }
-  if (activities < 4 || traces < 1 || reps < 1) {
-    std::fprintf(stderr, "invalid --activities/--traces/--reps\n");
-    return 2;
-  }
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [activities, traces, composites, reps, seed] = parser.target();
 
   std::printf("=====================================================\n");
   std::printf("composite — incremental search engine vs reference\n");

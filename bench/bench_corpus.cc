@@ -13,18 +13,17 @@
 // When EMS_BENCH_JSON_DIR names a directory, writes BENCH_corpus.json
 // there (atomically, tmp + rename) with one record per corpus size.
 //
-// Flags: --sizes=N[,N...] (default 1000), --family-size=N (default 16),
-//        --k=N (default 10), --queries=N (default 3),
-//        --alpha=A (default 0.3), --threads=N, --seed=N (default 2014).
+// Flags: the rows of kFlags below and the shared --threads; a usage
+// error prints them.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "util/string_util.h"
 #include "core/matcher.h"
 #include "exec/thread_pool.h"
 #include "index/corpus_index.h"
@@ -66,8 +65,8 @@ bool SameHits(const std::vector<index::TopKHit>& a,
 
 void WriteJson(const std::vector<SizeResult>& results, double alpha,
                int family_size) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -112,7 +111,7 @@ void WriteJson(const std::vector<SizeResult>& results, double alpha,
   }
   w.EndArray();
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_corpus.json";
+  const std::string path = dir + "/BENCH_corpus.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -127,44 +126,51 @@ void WriteJson(const std::vector<SizeResult>& results, double alpha,
 }  // namespace
 }  // namespace ems
 
+namespace {
+
+using enum ems::OptionType;
+
+struct Flags {
+  std::string sizes = "1000";
+  int family_size;
+  size_t k;
+  int queries;
+  double alpha;
+  uint64_t seed;
+};
+
+const ems::OptionSpec<Flags> kFlags[] = {
+    {.key = "sizes", .type = kText, .choices = "N[,N...]",
+     .doc = "corpus sizes (default 1000)", EMS_OPTION_FIELD(Flags, sizes)},
+    {.key = "family_size", .type = kInteger, .fallback = 16, .min = 1,
+     .doc = "members per process family", EMS_OPTION_FIELD(Flags, family_size)},
+    {.key = "k", .type = kInteger, .fallback = 10, .min = 1,
+     .doc = "hits per query", EMS_OPTION_FIELD(Flags, k)},
+    {.key = "queries", .type = kInteger, .fallback = 3, .min = 1,
+     .doc = "queries per corpus size", EMS_OPTION_FIELD(Flags, queries)},
+    {.key = "alpha", .fallback = 0.3, .min = 0, .max = 1,
+     .doc = "structural weight of formula (1)", EMS_OPTION_FIELD(Flags, alpha)},
+    {.key = "seed", .type = kInteger, .fallback = 2014, .min = 0,
+     .doc = "corpus seed", EMS_OPTION_FIELD(Flags, seed)},
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace ems;
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [sizes_text, family_size, k, queries, alpha, seed] =
+      parser.target();
   std::vector<size_t> sizes;
-  int family_size = 16;
-  size_t k = 10;
-  int queries = 3;
-  double alpha = 0.3;
-  uint64_t seed = 2014;
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* name) -> const char* {
-      std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value_of("sizes")) {
-      for (const char* p = v; *p != '\0';) {
-        sizes.push_back(static_cast<size_t>(std::atoll(p)));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-    } else if (const char* v = value_of("family-size")) {
-      family_size = std::atoi(v);
-    } else if (const char* v = value_of("k")) {
-      k = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value_of("queries")) {
-      queries = std::atoi(v);
-    } else if (const char* v = value_of("alpha")) {
-      alpha = std::atof(v);
-    } else if (const char* v = value_of("seed")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else {
-      passthrough.push_back(argv[i]);
+  for (const std::string& size : Split(sizes_text, ',')) {
+    sizes.push_back(0);
+    if (!ParseNumber(size, &sizes.back()) || sizes.back() == 0) {
+      return UsageError(
+          Status::InvalidArgument("sizes must be positive integers"),
+          argv[0], "[options]", parser);
     }
   }
-  bench::Init(static_cast<int>(passthrough.size()), passthrough.data());
-  if (sizes.empty()) sizes.push_back(1000);
 
   bench::PrintHeader("corpus",
                      "indexed top-k vs brute-force all-pairs ranking");

@@ -10,9 +10,7 @@ using namespace ems::bench;
 int main(int argc, char** argv) {
   Init(argc, argv);
   PrintHeader("Figure 8", "scalability over the number of events");
-  const char* pairs_env = std::getenv("EMS_BENCH_PAIRS_PER_SIZE");
-  int pairs_per_size = pairs_env != nullptr ? std::atoi(pairs_env) : 5;
-  if (pairs_per_size <= 0) pairs_per_size = 5;
+  const int pairs_per_size = BenchPairsPerSize();
   std::printf("(%d specification pairs per size; paper uses 20 — set "
               "EMS_BENCH_PAIRS_PER_SIZE=20 for the full protocol)\n\n",
               pairs_per_size);

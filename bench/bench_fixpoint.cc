@@ -13,13 +13,13 @@
 // per-iteration kernel throughput, and the single-thread speedup of the
 // optimized kernel over the naive one.
 //
-// Flags: --events=N (default 80), --reps=N (default 5), --seed=N.
+// Flags: the rows of kFlags below; a usage error prints them.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/ems_similarity.h"
 #include "graph/dependency_graph.h"
 #include "synth/dataset.h"
@@ -28,6 +28,8 @@
 
 namespace ems {
 namespace {
+
+using enum OptionType;
 
 struct ConfigResult {
   std::string name;
@@ -77,8 +79,8 @@ ConfigResult RunConfig(const std::string& name, const DependencyGraph& g1,
 
 void WriteJson(const std::vector<ConfigResult>& results, int events,
                int reps, double speedup) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -117,7 +119,7 @@ void WriteJson(const std::vector<ConfigResult>& results, int events,
   }
   w.EndArray();
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_fixpoint.json";
+  const std::string path = dir + "/BENCH_fixpoint.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -129,26 +131,26 @@ void WriteJson(const std::vector<ConfigResult>& results, int events,
   else std::remove(tmp.c_str());
 }
 
+struct Flags {
+  int events;
+  int reps;
+  uint64_t seed;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "events", .type = kInteger, .fallback = 80, .min = 2,
+     .doc = "activities of the instance", EMS_OPTION_FIELD(Flags, events)},
+    {.key = "reps", .type = kInteger, .fallback = 5, .min = 1,
+     .doc = "timed repetitions per configuration",
+     EMS_OPTION_FIELD(Flags, reps)},
+    {.key = "seed", .type = kInteger, .fallback = 8, .min = 0,
+     .doc = "instance seed", EMS_OPTION_FIELD(Flags, seed)},
+};
+
 int Main(int argc, char** argv) {
-  int events = 80;
-  int reps = 5;
-  uint64_t seed = 8;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const std::string p = prefix;
-      return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
-    };
-    if (const char* v = value("--events=")) events = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--seed=")) seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
-  }
-  if (events < 2 || reps < 1) {
-    std::fprintf(stderr, "invalid --events/--reps\n");
-    return 2;
-  }
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [events, reps, seed] = parser.target();
 
   std::printf("=====================================================\n");
   std::printf("fixpoint — EMS kernel: naive vs optimized (%d events)\n",

@@ -19,10 +19,8 @@
 // there (atomically, tmp + rename). Exits nonzero when a self-check
 // fails; the ladder itself is reporting, not a gate.
 //
-// Flags: --shards=N (default 4), --threads=N (default 4, total),
-//        --logs=N (corpus size, default 64), --base-qps=Q (default 100),
-//        --rungs=N (default 4), --duration=S (per rung, default 1.0),
-//        --connections=N (default 4).
+// Flags: the rows of kFlags below and the shared --threads (the total
+// across shards); a usage error prints them.
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -34,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "net/loadgen.h"
 #include "net/tcp_server.h"
 #include "net/wire.h"
@@ -48,6 +47,8 @@
 
 namespace ems {
 namespace {
+
+using enum OptionType;
 
 std::string TempDir() {
   const char* env = std::getenv("TMPDIR");
@@ -273,8 +274,8 @@ void WriteJson(const std::vector<Rung>& rungs, double sustained_qps,
                const std::vector<uint64_t>& routed_per_shard,
                double max_over_mean, int shards, int threads,
                bool overload_ok, bool drain_ok) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -328,7 +329,7 @@ void WriteJson(const std::vector<Rung>& rungs, double sustained_qps,
   w.Key("drain_ok");
   w.Bool(drain_ok);
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_serve.json";
+  const std::string path = dir + "/BENCH_serve.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -340,36 +341,37 @@ void WriteJson(const std::vector<Rung>& rungs, double sustained_qps,
   else std::remove(tmp.c_str());
 }
 
+struct Flags {
+  int shards;
+  int logs;
+  double base_qps;
+  int rungs;
+  double duration;
+  int connections;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "shards", .type = kInteger, .fallback = 4, .min = 1,
+     .doc = "service shards", EMS_OPTION_FIELD(Flags, shards)},
+    {.key = "logs", .type = kInteger, .fallback = 64, .min = 4,
+     .doc = "corpus size", EMS_OPTION_FIELD(Flags, logs)},
+    {.key = "base_qps", .fallback = 100, .min = 0, .min_open = true,
+     .doc = "arrival rate of the first rung",
+     EMS_OPTION_FIELD(Flags, base_qps)},
+    {.key = "rungs", .type = kInteger, .fallback = 4, .min = 1,
+     .doc = "rungs of the QPS ladder", EMS_OPTION_FIELD(Flags, rungs)},
+    {.key = "duration", .fallback = 1, .min = 0, .min_open = true,
+     .doc = "seconds per rung", EMS_OPTION_FIELD(Flags, duration)},
+    {.key = "connections", .type = kInteger, .fallback = 4, .min = 1,
+     .doc = "client connections", EMS_OPTION_FIELD(Flags, connections)},
+};
+
 int Main(int argc, char** argv) {
-  int shards = 4;
-  int threads = 4;
-  int logs = 64;
-  double base_qps = 100.0;
-  int num_rungs = 4;
-  double duration = 1.0;
-  int connections = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const std::string p = prefix;
-      return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
-    };
-    if (const char* v = value("--shards=")) shards = std::atoi(v);
-    else if (const char* v = value("--threads=")) threads = std::atoi(v);
-    else if (const char* v = value("--logs=")) logs = std::atoi(v);
-    else if (const char* v = value("--base-qps=")) base_qps = std::atof(v);
-    else if (const char* v = value("--rungs=")) num_rungs = std::atoi(v);
-    else if (const char* v = value("--duration=")) duration = std::atof(v);
-    else if (const char* v = value("--connections="))
-      connections = std::atoi(v);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
-  }
-  if (shards < 1 || threads < 1 || logs < 4 || base_qps <= 0.0 ||
-      num_rungs < 1 || duration <= 0.0 || connections < 1) {
-    std::fprintf(stderr, "invalid flag value\n");
-    return 2;
-  }
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [shards, logs, base_qps, num_rungs, duration, connections] =
+      parser.target();
+  const int threads = bench::BenchWorkers();
 
   std::printf("=====================================================\n");
   std::printf("serve_load — sharded TCP service (%d shards, %d threads)\n",

@@ -17,9 +17,8 @@
 // BENCH_serve_obs.json there (atomically, tmp + rename) with per-mode
 // timing and the overhead ratio.
 //
-// Flags: --activities=N (default 20), --traces=N (default 300),
-//        --jobs=N (default 64), --reps=N (default 3),
-//        --threads=N (default 4), --seed=N (default 23).
+// Flags: the rows of kFlags below and the shared --threads (service
+// workers); a usage error prints them.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "log/event_log.h"
 #include "log/log_io.h"
 #include "serve/service.h"
@@ -41,6 +41,8 @@
 
 namespace ems {
 namespace {
+
+using enum OptionType;
 
 std::string TempDir() {
   const char* env = std::getenv("TMPDIR");
@@ -83,8 +85,8 @@ double RunOnce(const serve::ServiceOptions& options,
 
 void WriteJson(double off_best, double on_best, double overhead, int jobs,
                int reps, int threads) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -106,7 +108,7 @@ void WriteJson(double off_best, double on_best, double overhead, int jobs,
   w.Key("overhead_budget");
   w.Number(0.05);
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_serve_obs.json";
+  const std::string path = dir + "/BENCH_serve_obs.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -118,33 +120,32 @@ void WriteJson(double off_best, double on_best, double overhead, int jobs,
   else std::remove(tmp.c_str());
 }
 
+struct Flags {
+  int activities;
+  int traces;
+  int jobs;
+  int reps;
+  uint64_t seed;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "activities", .type = kInteger, .fallback = 20, .min = 2,
+     .doc = "activities of the process", EMS_OPTION_FIELD(Flags, activities)},
+    {.key = "traces", .type = kInteger, .fallback = 300, .min = 1,
+     .doc = "traces per log", EMS_OPTION_FIELD(Flags, traces)},
+    {.key = "jobs", .type = kInteger, .fallback = 64, .min = 1,
+     .doc = "jobs per stream", EMS_OPTION_FIELD(Flags, jobs)},
+    {.key = "reps", .type = kInteger, .fallback = 3, .min = 1,
+     .doc = "interleaved repetitions", EMS_OPTION_FIELD(Flags, reps)},
+    {.key = "seed", .type = kInteger, .fallback = 23, .min = 0,
+     .doc = "corpus seed", EMS_OPTION_FIELD(Flags, seed)},
+};
+
 int Main(int argc, char** argv) {
-  int activities = 20;
-  int traces = 300;
-  int jobs = 64;
-  int reps = 3;
-  int threads = 4;
-  uint64_t seed = 23;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const std::string p = prefix;
-      return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
-    };
-    if (const char* v = value("--activities=")) activities = std::atoi(v);
-    else if (const char* v = value("--traces=")) traces = std::atoi(v);
-    else if (const char* v = value("--jobs=")) jobs = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--threads=")) threads = std::atoi(v);
-    else if (const char* v = value("--seed="))
-      seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
-  }
-  if (activities < 2 || traces < 1 || jobs < 1 || reps < 1 || threads < 1) {
-    std::fprintf(stderr, "invalid flag value\n");
-    return 2;
-  }
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [activities, traces, jobs, reps, seed] = parser.target();
+  const int threads = bench::BenchWorkers();
 
   std::printf("=====================================================\n");
   std::printf("serve_obs — telemetry plane overhead (%d jobs, %d threads)\n",

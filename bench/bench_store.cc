@@ -14,8 +14,7 @@
 // there (atomically, tmp + rename) with per-configuration timing, the
 // cold/warm speedup, store counters, and on-disk snapshot bytes.
 //
-// Flags: --activities=N (default 30), --traces=N (default 2000),
-//        --reps=N (default 5), --seed=N (default 17).
+// Flags: the rows of kFlags below; a usage error prints them.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/match_report.h"
 #include "core/matcher.h"
 #include "graph/dependency_graph.h"
@@ -42,6 +42,8 @@
 
 namespace ems {
 namespace {
+
+using enum OptionType;
 
 namespace fs = std::filesystem;
 
@@ -72,8 +74,8 @@ ConfigResult Finish(const std::string& name,
 void WriteJson(const std::vector<ConfigResult>& results, int activities,
                int traces, int reps, double speedup_warm,
                uint64_t snapshot_bytes, const ObsContext& obs) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -110,7 +112,7 @@ void WriteJson(const std::vector<ConfigResult>& results, int activities,
   }
   w.EndArray();
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_store.json";
+  const std::string path = dir + "/BENCH_store.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -122,29 +124,28 @@ void WriteJson(const std::vector<ConfigResult>& results, int activities,
   else std::remove(tmp.c_str());
 }
 
+struct Flags {
+  int activities;
+  int traces;
+  int reps;
+  uint64_t seed;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "activities", .type = kInteger, .fallback = 30, .min = 2,
+     .doc = "activities of the process", EMS_OPTION_FIELD(Flags, activities)},
+    {.key = "traces", .type = kInteger, .fallback = 2000, .min = 1,
+     .doc = "traces per log", EMS_OPTION_FIELD(Flags, traces)},
+    {.key = "reps", .type = kInteger, .fallback = 5, .min = 1,
+     .doc = "timed repetitions", EMS_OPTION_FIELD(Flags, reps)},
+    {.key = "seed", .type = kInteger, .fallback = 17, .min = 0,
+     .doc = "corpus seed", EMS_OPTION_FIELD(Flags, seed)},
+};
+
 int Main(int argc, char** argv) {
-  int activities = 30;
-  int traces = 2000;
-  int reps = 5;
-  uint64_t seed = 17;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const std::string p = prefix;
-      return arg.rfind(p, 0) == 0 ? arg.c_str() + p.size() : nullptr;
-    };
-    if (const char* v = value("--activities=")) activities = std::atoi(v);
-    else if (const char* v = value("--traces=")) traces = std::atoi(v);
-    else if (const char* v = value("--reps=")) reps = std::atoi(v);
-    else if (const char* v = value("--seed="))
-      seed = std::strtoull(v, nullptr, 10);
-    else std::fprintf(stderr, "warning: ignoring unknown option '%s'\n",
-                      arg.c_str());
-  }
-  if (activities < 2 || traces < 1 || reps < 1) {
-    std::fprintf(stderr, "invalid --activities/--traces/--reps\n");
-    return 2;
-  }
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [activities, traces, reps, seed] = parser.target();
 
   std::printf("=====================================================\n");
   std::printf("store — cold parse vs warm snapshot load (%d activities, "

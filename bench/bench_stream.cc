@@ -21,17 +21,15 @@
 // there (atomically, tmp + rename) with the per-rung ladder and the
 // identity-check verdicts.
 //
-// Flags: --activities=N (default 40), --traces=N (default 4000),
-//        --batches=N (rungs per batch size, default 3),
-//        --seed=N (default 17).
+// Flags: the rows of kFlags below; a usage error prints them.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/matcher.h"
 #include "core/warm_match.h"
 #include "graph/dependency_graph.h"
@@ -243,8 +241,8 @@ ConfigReport RunConfig(const std::string& name, const PairOptions& popts,
 
 void WriteJson(const std::vector<ConfigReport>& reports, int activities,
                int traces) {
-  const char* env = std::getenv("EMS_BENCH_JSON_DIR");
-  if (env == nullptr || env[0] == '\0') return;
+  const std::string& dir = bench::BenchJsonDir();
+  if (dir.empty()) return;
   JsonWriter w;
   w.BeginObject();
   w.Key("figure");
@@ -294,7 +292,7 @@ void WriteJson(const std::vector<ConfigReport>& reports, int activities,
   }
   w.EndArray();
   w.EndObject();
-  const std::string path = std::string(env) + "/BENCH_stream.json";
+  const std::string path = dir + "/BENCH_stream.json";
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp);
   if (!out) return;
@@ -309,29 +307,35 @@ void WriteJson(const std::vector<ConfigReport>& reports, int activities,
 }  // namespace
 }  // namespace ems
 
+namespace {
+
+using enum ems::OptionType;
+
+struct Flags {
+  int activities;
+  int traces;
+  int batches;
+  uint64_t seed;
+};
+
+const ems::OptionSpec<Flags> kFlags[] = {
+    {.key = "activities", .type = kInteger, .fallback = 40, .min = 2,
+     .doc = "activities of the process", EMS_OPTION_FIELD(Flags, activities)},
+    {.key = "traces", .type = kInteger, .fallback = 4000, .min = 1,
+     .doc = "traces of the history log", EMS_OPTION_FIELD(Flags, traces)},
+    {.key = "batches", .type = kInteger, .fallback = 3, .min = 1,
+     .doc = "rungs per batch size", EMS_OPTION_FIELD(Flags, batches)},
+    {.key = "seed", .type = kInteger, .fallback = 17, .min = 0,
+     .doc = "corpus seed", EMS_OPTION_FIELD(Flags, seed)},
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace ems;
-  int activities = 40;
-  int traces = 4000;
-  int batches = 3;
-  uint64_t seed = 17;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* name) -> const char* {
-      std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value_of("activities")) activities = std::atoi(v);
-    else if (const char* v = value_of("traces")) traces = std::atoi(v);
-    else if (const char* v = value_of("batches")) batches = std::atoi(v);
-    else if (const char* v = value_of("seed")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  OptionParser<Flags> parser(kFlags);
+  bench::Init(argc, argv, parser);
+  const auto& [activities, traces, batches, seed] = parser.target();
 
   std::vector<ConfigReport> reports;
 

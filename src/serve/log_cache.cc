@@ -82,22 +82,40 @@ Result<std::shared_ptr<const EventLog>> LogCache::GetOrLoad(
   const std::string fmt = ResolveLogFormat(path, format);
   const std::string key =
       CanonicalPath(path) + "|" + fmt + "|" + store::HashHex(content_hash);
-  if (std::optional<std::shared_ptr<const EventLog>> hit = cache_.Get(key)) {
+  std::unique_lock<std::mutex> lock(mu_);
+  std::optional<std::shared_ptr<const EventLog>> hit = cache_.Get(key);
+  auto flight = in_flight_.find(key);
+  if (hit.has_value() || flight != in_flight_.end()) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
     ObsIncrement(obs_, "serve.cache.hits");
-    return *hit;
+    if (hit.has_value()) return *hit;
+    const std::shared_future<Loaded> pending = flight->second;
+    lock.unlock();
+    return pending.get();
   }
+  // This lookup loads; concurrent misses on the key wait on its future
+  // instead of parsing the file again. The lock is not held across I/O.
+  misses_.fetch_add(1, std::memory_order_relaxed);
   ObsIncrement(obs_, "serve.cache.misses");
-  // Concurrent misses on one key may both load; the second Put wins.
-  // Wasted work on a cold start beats holding the cache lock across
-  // file I/O.
-  EMS_ASSIGN_OR_RETURN(EventLog log,
-                       LoadEventLogThroughStore(store_, path, format));
-  const uint64_t cost = store::EstimateLogSnapshotBytes(log);
-  auto shared = std::make_shared<const EventLog>(std::move(log));
-  cache_.Put(key, shared, cost);
-  ObsSetGauge(obs_, "serve.cache_bytes",
-              static_cast<double>(cache_.cost_bytes()));
-  return shared;
+  std::promise<Loaded> promise;
+  in_flight_.emplace(key, promise.get_future().share());
+  lock.unlock();
+
+  Loaded loaded = [&]() -> Loaded {
+    EMS_ASSIGN_OR_RETURN(EventLog log,
+                         LoadEventLogThroughStore(store_, path, format));
+    return std::make_shared<const EventLog>(std::move(log));
+  }();
+  lock.lock();
+  if (loaded.ok()) {
+    cache_.Put(key, *loaded, store::EstimateLogSnapshotBytes(**loaded));
+    ObsSetGauge(obs_, "serve.cache_bytes",
+                static_cast<double>(cache_.cost_bytes()));
+  }
+  in_flight_.erase(key);
+  lock.unlock();
+  promise.set_value(loaded);
+  return loaded;
 }
 
 }  // namespace serve

@@ -11,8 +11,12 @@
 // the store misses too — which is what makes a restarted ems_serve warm.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "log/event_log.h"
@@ -38,7 +42,9 @@ namespace serve {
 /// lookup, which is cheap next to parsing and is exactly what keeps the
 /// cache coherent without invalidation messages. Values are
 /// shared_ptr<const EventLog>: eviction never invalidates a log a
-/// running job still holds.
+/// running job still holds. Loads are single-flight: concurrent misses
+/// on one key wait for the one load in flight, and a failed load
+/// reaches every waiter and is not cached.
 class LogCache {
  public:
   /// `obs` (borrowed, may be null) receives serve.cache.{hits,misses}
@@ -56,15 +62,23 @@ class LogCache {
   Result<std::shared_ptr<const EventLog>> GetOrLoad(const std::string& path,
                                                     const std::string& format);
 
-  uint64_t hits() const { return cache_.hits(); }
-  uint64_t misses() const { return cache_.misses(); }
+  /// Lookups that loaded (misses) and lookups served without loading:
+  /// from memory or by waiting on another lookup's load (hits).
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t size() const { return cache_.size(); }
   uint64_t cost_bytes() const { return cache_.cost_bytes(); }
 
  private:
+  using Loaded = Result<std::shared_ptr<const EventLog>>;
+
   LruCache<std::string, std::shared_ptr<const EventLog>> cache_;
   ObsContext* obs_;
   store::ArtifactStore* store_;
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::mutex mu_;  // orders lookups against in-flight loads
+  std::map<std::string, std::shared_future<Loaded>> in_flight_;
 };
 
 /// The concrete format name ("trace", "csv", "xes", "mxml") that `format`

@@ -1,7 +1,8 @@
 // End-to-end check of `ems_match --metrics-out`: runs the real binary on
 // two small trace-format logs and asserts the exported PipelineReport is
-// well-formed JSON carrying the expected phase spans and counters. The
-// binary path is injected by CMake as EMS_MATCH_BINARY.
+// well-formed JSON carrying the expected phase spans and counters, and
+// that malformed flags of every tool are usage errors. The binary paths
+// are injected by CMake (EMS_MATCH_BINARY and friends).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -181,6 +182,27 @@ TEST(MetricsExportTest, MalformedOptionValuesExitTwoWithEmptyStdout) {
     EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
     EXPECT_EQ(ReadFile(out), "") << cmd;
   }
+  // Every other tool and bench parses its flags through the same rows:
+  // a malformed number or an unknown flag is a usage error too, and
+  // ems_generate writes no file.
+  const std::string gen_dir = dir + "/metrics_export_bad_gen";
+  ASSERT_EQ(std::system(("rm -rf " + gen_dir + " && mkdir -p " + gen_dir)
+                            .c_str()),
+            0);
+  for (const std::string& cmd :
+       {std::string(EMS_GENERATE_BINARY) + " --pairs=abc " + gen_dir,
+        std::string(EMS_EVAL_BINARY) + " --threads=abc " + log1 + " " + log2,
+        std::string(EMS_STATS_BINARY) + " --variants=x " + log1,
+        std::string(BENCH_FIXPOINT_BINARY) + " --reps=1x",
+        std::string(BENCH_FIXPOINT_BINARY) + " --thread=4"}) {
+    const int status =
+        std::system((cmd + " > " + out + " 2> /dev/null").c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    EXPECT_EQ(ReadFile(out), "") << cmd;
+  }
+  EXPECT_EQ(std::system(("rmdir " + gen_dir).c_str()), 0)
+      << "ems_generate wrote into " << gen_dir;
   for (const std::string& f : {log1, log2, out}) std::remove(f.c_str());
 }
 

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 namespace ems {
@@ -261,6 +263,19 @@ TEST(ServeSmokeTest, LogLevelControlsStderrVerbosity) {
                               " --log-level=loud < /dev/null > /dev/null 2> "
                               "/dev/null";
   EXPECT_NE(std::system(bad_cmd.c_str()), 0);
+
+  // So is a number that is not consumed in full: exit 2, empty stdout.
+  const std::string bad_out = dir + "/serve_smoke_bad.out";
+  for (const char* flag :
+       {"--queue-size=1e3", "--threads=2abc", "--stats-interval=5s"}) {
+    const std::string cmd = std::string(EMS_SERVE_BINARY) + " " + flag +
+                            " < /dev/null > " + bad_out + " 2> /dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    EXPECT_EQ(ReadFile(bad_out), "") << cmd;
+  }
+  std::remove(bad_out.c_str());
 
   std::remove(jobs.c_str());
   std::remove(err_quiet.c_str());

@@ -31,6 +31,8 @@ double OtherValue(const MatchOptionSpec& spec) {
     case OptionType::kNumber:
       return std::isfinite(spec.max) ? (spec.fallback + spec.max) / 2.0
                                      : spec.fallback * 2.0 + 1.0;
+    case OptionType::kText:
+      break;
   }
   return spec.fallback;
 }

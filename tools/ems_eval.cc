@@ -3,15 +3,14 @@
 // exactly what ems_generate exports and `ems_match --tsv` emits, after
 // expanding "a + b" groups into their member links).
 //
-//   ems_eval [--threads=N] [--metrics-out=PATH] TRUTH.tsv FOUND.tsv
+//   ems_eval [options] TRUTH.tsv FOUND.tsv
 //
-// --threads controls the worker pool (default hardware concurrency,
-// 0 = serial); with more than one worker the two link files load
+// The options are the rows of kFlags below; a usage error prints them.
+// With more than one worker (--threads) the two link files load
 // concurrently. --metrics-out writes a PipelineReport JSON with spans
 // for the load_truth / load_found / evaluate phases and link counters
 // (parallel loads are counted, not spanned — spans are single-thread).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
@@ -21,12 +20,14 @@
 #include "exec/thread_pool.h"
 #include "obs/context.h"
 #include "obs/report.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
 
 using namespace ems;
+using enum OptionType;
 
 // Splits an "a + b + c" group cell into member names.
 std::vector<std::string> ExpandGroup(const std::string& cell) {
@@ -69,51 +70,42 @@ Result<std::set<std::pair<std::string, std::string>>> ReadLinks(
   return links;
 }
 
+struct Flags {
+  int threads;
+  std::string metrics_out;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    ThreadsOption<Flags>(),
+    {.key = "metrics_out", .type = kText, .choices = "PATH",
+     .doc = "PipelineReport JSON", EMS_OPTION_FIELD(Flags, metrics_out)},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_out;
-  int threads = -1;  // -1 = unset -> hardware concurrency
+  OptionParser<Flags> parser(kFlags);
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const std::string prefix = "--metrics-out=";
-    const std::string threads_prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      metrics_out = arg.substr(prefix.size());
-    } else if (arg.rfind(threads_prefix, 0) == 0) {
-      threads = std::atoi(arg.substr(threads_prefix.size()).c_str());
-      if (threads < 0) {
-        std::fprintf(stderr, "error: --threads must be >= 0\n");
-        return 2;
-      }
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
-      return 2;
-    } else {
-      positional.push_back(arg);
-    }
+  Status parsed = ParseArgs(argc, argv, &positional, parser);
+  if (parsed.ok() && positional.size() != 2) {
+    parsed = Status::InvalidArgument("expected TRUTH.tsv and FOUND.tsv");
   }
-  if (positional.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: %s [--threads=N] [--metrics-out=PATH] TRUTH.tsv "
-                 "FOUND.tsv\n",
-                 argv[0]);
-    return 2;
+  if (!parsed.ok()) {
+    return UsageError(parsed, argv[0], "[options] TRUTH.tsv FOUND.tsv",
+                      parser);
   }
+  const Flags& flags = parser.target();
+  const std::string& metrics_out = flags.metrics_out;
 
   ObsContext obs_storage;
   ObsContext* obs = metrics_out.empty() ? nullptr : &obs_storage;
   Timer total_timer;
 
-  // CLI contract: default = hardware concurrency, 0 = serial.
-  const int workers =
-      threads < 0 ? exec::ThreadPool::EffectiveThreads(0) : threads;
   Result<std::set<std::pair<std::string, std::string>>> truth =
       Status::Internal("not loaded");
   Result<std::set<std::pair<std::string, std::string>>> found =
       Status::Internal("not loaded");
-  if (workers > 1) {
+  if (flags.threads > 1) {
     exec::ThreadPool pool(2);
     exec::TaskGroup group(&pool);
     group.Run([&]() -> Status {

@@ -4,24 +4,7 @@
 //
 //   ems_generate [options] OUTPUT_DIR
 //
-// Options:
-//   --corpus=N           generate an N-member warehouse corpus instead
-//                        of pairs: many process families with private
-//                        vocabularies, --family-size members each
-//                        (docs/CORPUS.md); writes <dir>/famK_<m>.<ext>
-//   --family-size=N      members per corpus family (default 2)
-//   --pairs=N            log pairs to generate (default 10)
-//   --testbed=dsf|dsb|dsfb   dislocation testbed (default dsfb)
-//   --activities=N       activities per process (default 20)
-//   --traces=N           traces per log (default 150)
-//   --dislocation=N      events removed from trace boundaries (default 2)
-//   --composites=N       composite events injected per pair (default 0)
-//   --append=N           traces per streaming delta batch (default 0:
-//                        no batches); continues log a's own play-out, so
-//                        a + batches in order == one longer play-out
-//   --append-batches=B   delta batches per pair (default 1)
-//   --seed=N             master seed (default 2014)
-//   --format=xes|mxml|csv|trace  export format (default xes)
+// The options are the rows of kFlags below; a usage error prints them.
 //
 // Each pair becomes <dir>/pairK_a.<ext>, <dir>/pairK_b.<ext>, and
 // <dir>/pairK_truth.tsv (left<TAB>right per correspondence link); with
@@ -36,10 +19,12 @@
 #include "log/mxml.h"
 #include "log/xes.h"
 #include "synth/dataset.h"
+#include "util/flags.h"
 
 namespace {
 
 using namespace ems;
+using enum OptionType;
 
 Status ExportLog(const EventLog& log, const std::string& path,
                  const std::string& format) {
@@ -64,74 +49,82 @@ Status ExportTruth(const GroundTruth& truth, const std::string& path) {
   return out ? Status::OK() : Status::IOError("write failed");
 }
 
+struct Flags {
+  int pairs;
+  int corpus;
+  int family_size;
+  Testbed testbed;
+  int activities;
+  int traces;
+  int dislocation;
+  int composites;
+  int append;
+  int append_batches;
+  uint64_t seed;
+  std::string format;
+};
+
+#define FLAG(field) EMS_OPTION_FIELD(Flags, field)
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "pairs", .type = kInteger, .fallback = 10, .min = 0,
+     .doc = "log pairs to generate", FLAG(pairs)},
+    {.key = "corpus", .type = kInteger, .min = 0,
+     .doc = "generate an N-member warehouse corpus instead of pairs "
+            "(docs/CORPUS.md), written as <dir>/famK_<m>.<ext>",
+     FLAG(corpus)},
+    {.key = "family_size", .type = kInteger, .fallback = 2, .min = 1,
+     .doc = "members per corpus family", FLAG(family_size)},
+    {.key = "testbed", .type = kChoice, .fallback = 2,
+     .choices = "dsf|dsb|dsfb", .doc = "dislocation testbed", FLAG(testbed)},
+    {.key = "activities", .type = kInteger, .fallback = 20, .min = 1,
+     .doc = "activities per process", FLAG(activities)},
+    {.key = "traces", .type = kInteger, .fallback = 150, .min = 1,
+     .doc = "traces per log", FLAG(traces)},
+    {.key = "dislocation", .type = kInteger, .fallback = 2, .min = 0,
+     .doc = "events removed from trace boundaries", FLAG(dislocation)},
+    {.key = "composites", .type = kInteger, .min = 0,
+     .doc = "composite events injected per pair", FLAG(composites)},
+    {.key = "append", .type = kInteger, .min = 0,
+     .doc = "traces per streaming delta batch (0: no batches); continues "
+            "log a's own play-out",
+     FLAG(append)},
+    {.key = "append_batches", .type = kInteger, .fallback = 1, .min = 1,
+     .doc = "delta batches per pair", FLAG(append_batches)},
+    {.key = "seed", .type = kInteger, .fallback = 2014, .min = 0,
+     .doc = "master seed", FLAG(seed)},
+    {.key = "format", .type = kChoice, .choices = "xes|mxml|csv|trace",
+     .doc = "export format", FLAG(format)},
+};
+
+#undef FLAG
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  int pairs = 10;
-  int corpus = 0;
-  int family_size = 2;
-  std::string testbed = "dsfb";
-  int activities = 20;
-  int traces = 150;
-  int dislocation = 2;
-  int composites = 0;
-  int append = 0;
-  int append_batches = 1;
-  uint64_t seed = 2014;
-  std::string format = "xes";
-  std::string dir;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value_of = [&](const char* name) -> const char* {
-      std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value_of("pairs")) pairs = std::atoi(v);
-    else if (const char* v = value_of("corpus")) corpus = std::atoi(v);
-    else if (const char* v = value_of("family-size")) {
-      family_size = std::atoi(v);
-    } else if (const char* v = value_of("testbed")) testbed = v;
-    else if (const char* v = value_of("activities")) activities = std::atoi(v);
-    else if (const char* v = value_of("traces")) traces = std::atoi(v);
-    else if (const char* v = value_of("dislocation")) {
-      dislocation = std::atoi(v);
-    } else if (const char* v = value_of("composites")) {
-      composites = std::atoi(v);
-    } else if (const char* v = value_of("append")) {
-      append = std::atoi(v);
-    } else if (const char* v = value_of("append-batches")) {
-      append_batches = std::atoi(v);
-    } else if (const char* v = value_of("seed")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (const char* v = value_of("format")) format = v;
-    else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return 2;
-    } else {
-      dir = arg;
-    }
+  OptionParser<Flags> parser(kFlags);
+  std::vector<std::string> positional;
+  Status parsed = ParseArgs(argc, argv, &positional, parser);
+  if (parsed.ok() && positional.size() != 1) {
+    parsed = Status::InvalidArgument("expected one OUTPUT_DIR");
   }
-  if (dir.empty()) {
-    std::fprintf(stderr, "usage: %s [options] OUTPUT_DIR\n", argv[0]);
-    return 2;
+  if (!parsed.ok()) {
+    return UsageError(parsed, argv[0], "[options] OUTPUT_DIR", parser);
   }
-  Testbed tb = testbed == "dsf"   ? Testbed::kDsF
-               : testbed == "dsb" ? Testbed::kDsB
-                                  : Testbed::kDsFB;
+  const Flags& flags = parser.target();
+  const std::string& dir = positional[0];
 
-  if (corpus > 0) {
+  if (flags.corpus > 0) {
     SynthCorpusOptions corpus_opts;
-    corpus_opts.num_members = corpus;
-    corpus_opts.members_per_family = family_size;
-    corpus_opts.seed = seed;
-    corpus_opts.min_activities = std::max(4, activities - 5);
-    corpus_opts.max_activities = activities + 5;
-    corpus_opts.num_traces = traces;
+    corpus_opts.num_members = flags.corpus;
+    corpus_opts.members_per_family = flags.family_size;
+    corpus_opts.seed = flags.seed;
+    corpus_opts.min_activities = std::max(4, flags.activities - 5);
+    corpus_opts.max_activities = flags.activities + 5;
+    corpus_opts.num_traces = flags.traces;
     std::vector<CorpusMember> members = MakeCorpus(corpus_opts);
     for (const CorpusMember& member : members) {
-      Status s = ExportLog(member.log, dir + "/" + member.name, format);
+      Status s = ExportLog(member.log, dir + "/" + member.name, flags.format);
       if (!s.ok()) {
         std::fprintf(stderr, "export failed: %s\n", s.ToString().c_str());
         return 1;
@@ -141,30 +134,31 @@ int main(int argc, char** argv) {
         members.empty() ? 0 : members.back().family + 1;
     std::printf("generated a %zu-member corpus (%d families, ~%d members "
                 "each, %d traces) in %s\n",
-                members.size(), families, family_size, traces, dir.c_str());
+                members.size(), families, flags.family_size, flags.traces,
+                dir.c_str());
     return 0;
   }
 
-  Rng meta(seed);
-  for (int k = 0; k < pairs; ++k) {
+  Rng meta(flags.seed);
+  for (int k = 0; k < flags.pairs; ++k) {
     PairOptions opts;
-    opts.num_activities = activities;
-    opts.num_traces = traces;
-    opts.dislocation = dislocation;
-    opts.num_composites = composites;
+    opts.num_activities = flags.activities;
+    opts.num_traces = flags.traces;
+    opts.dislocation = flags.dislocation;
+    opts.num_composites = flags.composites;
     opts.seed = meta.engine()();
-    LogPair pair = MakeLogPair(tb, opts);
+    LogPair pair = MakeLogPair(flags.testbed, opts);
 
     std::string base = dir + "/pair" + std::to_string(k);
-    Status s = ExportLog(pair.log1, base + "_a", format);
-    if (s.ok()) s = ExportLog(pair.log2, base + "_b", format);
+    Status s = ExportLog(pair.log1, base + "_a", flags.format);
+    if (s.ok()) s = ExportLog(pair.log2, base + "_b", flags.format);
     if (s.ok()) s = ExportTruth(pair.truth, base + "_truth.tsv");
-    if (s.ok() && append > 0) {
+    if (s.ok() && flags.append > 0) {
       std::vector<EventLog> batches =
-          MakeAppendBatches(opts, append, append_batches);
+          MakeAppendBatches(opts, flags.append, flags.append_batches);
       for (size_t j = 0; j < batches.size() && s.ok(); ++j) {
         s = ExportLog(batches[j], base + "_a_append" + std::to_string(j),
-                      format);
+                      flags.format);
       }
     }
     if (!s.ok()) {
@@ -174,12 +168,13 @@ int main(int argc, char** argv) {
   }
   std::printf("generated %d %s pairs (%d activities, %d traces, "
               "dislocation %d, %d composites%s) in %s\n",
-              pairs, TestbedName(tb), activities, traces, dislocation,
-              composites,
-              append > 0 ? (", " + std::to_string(append_batches) + "x" +
-                            std::to_string(append) + "-trace append batches")
-                               .c_str()
-                         : "",
+              flags.pairs, TestbedName(flags.testbed), flags.activities,
+              flags.traces, flags.dislocation, flags.composites,
+              flags.append > 0
+                  ? (", " + std::to_string(flags.append_batches) + "x" +
+                     std::to_string(flags.append) + "-trace append batches")
+                        .c_str()
+                  : "",
               dir.c_str());
   return 0;
 }

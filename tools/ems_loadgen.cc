@@ -10,25 +10,11 @@
 //   ems_loadgen --tcp=HOST:PORT [options]
 //   ems_loadgen --socket=PATH [options]
 //
-// Options:
-//   --tcp=HOST:PORT    TCP endpoint of ems_serve --tcp
-//   --socket=PATH      Unix-socket endpoint of ems_serve --socket
-//   --connections=N    concurrent connections (default 4)
-//   --qps=Q            target arrival rate across connections
-//                      (default 200)
-//   --duration=S       generation window in seconds (default 5)
-//   --max-requests=N   hard request cap (default 0 = duration governs)
-//   --mix=M:S:C        integer weights of match:stats:storm requests
-//                      (default 90:5:5); each request slot picks by
-//                      sequence modulo the weight total
-//   --log1=P --log2=P  the log pair of plain match jobs (required when
-//                      the match weight is > 0)
-//   --storm-logs=N     distinct generated logs the storm cycles through
-//                      (default 64; written under TMPDIR, removed on
-//                      exit)
-//   --labels=NAME      label measure of generated jobs (default none)
-//   --json-out=PATH    write the report as one JSON object to PATH
-//                      (atomically, tmp + rename)
+// The options are the rows of kFlags below; a usage error prints them.
+// --mix=M:S:C weighs match:stats:storm requests: each request slot picks
+// by sequence modulo the weight total. The storm cycles through
+// --storm-logs distinct generated logs, written under TMPDIR and removed
+// on exit; --log1/--log2 are required when the match weight is > 0.
 //
 // Exit status: 0 on a clean run, 1 when any response failed to parse or
 // carried an unknown id (protocol errors), 2 on usage/connect errors.
@@ -41,101 +27,84 @@
 
 #include "net/loadgen.h"
 #include "net/wire.h"
+#include "serve/match_options_schema.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/log.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace {
 
 using namespace ems;
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--tcp=HOST:PORT | --socket=PATH) [--connections=N]\n"
-      "          [--qps=Q] [--duration=S] [--max-requests=N]\n"
-      "          [--mix=MATCH:STATS:STORM] [--log1=PATH --log2=PATH]\n"
-      "          [--storm-logs=N] [--labels=NAME] [--json-out=PATH]\n",
-      argv0);
-}
+using enum OptionType;
 
 struct Flags {
   std::string tcp;
   std::string socket_path;
-  int connections = 4;
-  double qps = 200.0;
-  double duration = 5.0;
-  unsigned long long max_requests = 0;
-  int match_weight = 90;
-  int stats_weight = 5;
-  int storm_weight = 5;
+  int connections;
+  double qps;
+  double duration;
+  unsigned long long max_requests;
+  std::string mix = "90:5:5";
+  int match_weight;
+  int stats_weight;
+  int storm_weight;
   std::string log1;
   std::string log2;
-  int storm_logs = 64;
-  std::string labels = "none";
+  int storm_logs;
+  std::string labels;
   std::string json_out;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
+#define FLAG(field) EMS_OPTION_FIELD(Flags, field)
 
-Result<Flags> ParseArgs(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "tcp", &value)) {
-      flags.tcp = value;
-    } else if (ParseFlag(arg, "socket", &value)) {
-      flags.socket_path = value;
-    } else if (ParseFlag(arg, "connections", &value)) {
-      flags.connections = std::atoi(value.c_str());
-      if (flags.connections < 1) {
-        return Status::InvalidArgument("--connections must be >= 1");
-      }
-    } else if (ParseFlag(arg, "qps", &value)) {
-      flags.qps = std::atof(value.c_str());
-      if (flags.qps <= 0.0) {
-        return Status::InvalidArgument("--qps must be > 0");
-      }
-    } else if (ParseFlag(arg, "duration", &value)) {
-      flags.duration = std::atof(value.c_str());
-      if (flags.duration <= 0.0) {
-        return Status::InvalidArgument("--duration must be > 0");
-      }
-    } else if (ParseFlag(arg, "max-requests", &value)) {
-      flags.max_requests = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "mix", &value)) {
-      if (std::sscanf(value.c_str(), "%d:%d:%d", &flags.match_weight,
-                      &flags.stats_weight, &flags.storm_weight) != 3 ||
-          flags.match_weight < 0 || flags.stats_weight < 0 ||
-          flags.storm_weight < 0 ||
-          flags.match_weight + flags.stats_weight + flags.storm_weight ==
-              0) {
-        return Status::InvalidArgument(
-            "--mix must be MATCH:STATS:STORM nonnegative weights, not all "
-            "zero");
-      }
-    } else if (ParseFlag(arg, "log1", &value)) {
-      flags.log1 = value;
-    } else if (ParseFlag(arg, "log2", &value)) {
-      flags.log2 = value;
-    } else if (ParseFlag(arg, "storm-logs", &value)) {
-      flags.storm_logs = std::atoi(value.c_str());
-      if (flags.storm_logs < 1) {
-        return Status::InvalidArgument("--storm-logs must be >= 1");
-      }
-    } else if (ParseFlag(arg, "labels", &value)) {
-      flags.labels = value;
-    } else if (ParseFlag(arg, "json-out", &value)) {
-      flags.json_out = value;
-    } else {
-      return Status::InvalidArgument("unknown argument '" + arg + "'");
-    }
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "tcp", .type = kText, .choices = "HOST:PORT",
+     .doc = "TCP endpoint of ems_serve --tcp", FLAG(tcp)},
+    {.key = "socket", .type = kText, .choices = "PATH",
+     .doc = "Unix-socket endpoint of ems_serve --socket", FLAG(socket_path)},
+    {.key = "connections", .type = kInteger, .fallback = 4, .min = 1,
+     .doc = "concurrent connections", FLAG(connections)},
+    {.key = "qps", .fallback = 200, .min = 0, .min_open = true,
+     .doc = "target arrival rate across connections", FLAG(qps)},
+    {.key = "duration", .fallback = 5, .min = 0, .min_open = true,
+     .doc = "generation window in seconds", FLAG(duration)},
+    {.key = "max_requests", .type = kInteger, .min = 0,
+     .doc = "hard request cap (0: the duration governs)", FLAG(max_requests)},
+    {.key = "mix", .type = kText, .choices = "M:S:C",
+     .doc = "weights of match:stats:storm requests (default 90:5:5)",
+     FLAG(mix)},
+    {.key = "log1", .type = kText, .choices = "PATH",
+     .doc = "first log of plain match jobs", FLAG(log1)},
+    {.key = "log2", .type = kText, .choices = "PATH",
+     .doc = "second log of plain match jobs", FLAG(log2)},
+    {.key = "storm_logs", .type = kInteger, .fallback = 64, .min = 1,
+     .doc = "distinct generated logs the storm cycles through",
+     FLAG(storm_logs)},
+    {.key = "labels", .type = kChoice,
+     .choices = serve::FindMatchOption("labels")->choices,
+     .doc = "label measure of generated jobs", FLAG(labels)},
+    {.key = "json_out", .type = kText, .choices = "PATH",
+     .doc = "the report as one JSON object, written atomically",
+     FLAG(json_out)},
+};
+
+#undef FLAG
+
+// The cross-flag rules: --mix, one endpoint, logs for match jobs.
+Status Check(Flags* flags_out) {
+  Flags& flags = *flags_out;
+  const std::vector<std::string> weights = Split(flags.mix, ':');
+  if (weights.size() != 3 || !ParseNumber(weights[0], &flags.match_weight) ||
+      !ParseNumber(weights[1], &flags.stats_weight) ||
+      !ParseNumber(weights[2], &flags.storm_weight) ||
+      flags.match_weight < 0 || flags.stats_weight < 0 ||
+      flags.storm_weight < 0 ||
+      flags.match_weight + flags.stats_weight + flags.storm_weight == 0) {
+    return Status::InvalidArgument(
+        "--mix must be MATCH:STATS:STORM nonnegative weights, not all "
+        "zero");
   }
   if (flags.tcp.empty() == flags.socket_path.empty()) {
     return Status::InvalidArgument(
@@ -146,7 +115,7 @@ Result<Flags> ParseArgs(int argc, char** argv) {
     return Status::InvalidArgument(
         "--log1 and --log2 are required when the match weight is > 0");
   }
-  return flags;
+  return Status::OK();
 }
 
 std::string TempDir() {
@@ -248,13 +217,14 @@ Status WriteJsonReport(const std::string& path, const Flags& flags,
 }
 
 int Run(int argc, char** argv) {
-  Result<Flags> flags_result = ParseArgs(argc, argv);
-  if (!flags_result.ok()) {
-    LogError(flags_result.status().message());
-    Usage(argv[0]);
-    return 2;
+  OptionParser<Flags> parser(kFlags);
+  Status parsed = ParseArgs(argc, argv, nullptr, parser);
+  Flags flags = parser.target();
+  if (parsed.ok()) parsed = Check(&flags);
+  if (!parsed.ok()) {
+    return UsageError(parsed, argv[0],
+                      "(--tcp=HOST:PORT | --socket=PATH) [options]", parser);
   }
-  const Flags& flags = *flags_result;
 
   std::vector<std::string> storm_paths;
   if (flags.storm_weight > 0) {

@@ -14,11 +14,11 @@
 // re-querying an unchanged directory skips parsing and graph builds.
 //
 // The match options are the rows of src/serve/match_options_schema.cc,
-// spelled as flags (the wire key with '_' replaced by '-'); a usage error
-// prints them next to the tool's own flags.
+// spelled as flags (the wire key with '_' replaced by '-'); the tool's
+// own flags are the rows of kFlags below. Any usage error prints both
+// tables and exits 2.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -33,109 +33,77 @@
 #include "serve/match_options_schema.h"
 #include "store/artifact_store.h"
 #include "store/hashing.h"
+#include "util/flags.h"
 #include "util/json_writer.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
 
 using namespace ems;
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] LOG1 LOG2\n"
-      "       %s [options] --corpus=DIR [--topk=K] [--brute-force] QUERY\n"
-      "match options:\n%s"
-      "tool options:\n"
-      "  --format=auto|trace|csv|xes|mxml\n"
-      "                              input format (default auto)\n"
-      "  --threads=N                 worker threads (default hardware\n"
-      "                              concurrency, 0 = serial)\n"
-      "  --corpus=DIR                rank every log in DIR against QUERY\n"
-      "  --topk=K                    hits to return (default 5)\n"
-      "  --brute-force               rank by matching every member\n"
-      "  --matrix, --tsv, --json     similarity matrix / TSV / JSON output\n"
-      "  --prob-out=PATH             full posterior as TSV (with --prob)\n"
-      "  --metrics-out=PATH          PipelineReport JSON\n"
-      "  --trace-out=PATH            Chrome trace_event JSON\n"
-      "  --cache-dir=PATH            persistent artifact store\n",
-      argv0, argv0, serve::MatchOptionsUsage().c_str());
-}
+using enum OptionType;
 
 struct Flags {
-  std::string format = "auto";
-  int threads = -1;  // -1 = unset -> hardware concurrency
+  std::string format;
+  int threads;
+  std::string corpus;
+  int topk;
+  bool brute_force;
+  bool matrix;
+  bool tsv;
+  bool json;
   std::string prob_out;
-  bool matrix = false;
-  bool tsv = false;
-  bool json = false;
   std::string metrics_out;
   std::string trace_out;
   std::string cache_dir;
-  std::string corpus;
-  int topk = 5;
-  bool brute_force = false;
   MatchOptions options;
   std::vector<std::string> positional;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
-  std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
+#define FLAG(field) EMS_OPTION_FIELD(Flags, field)
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "format", .type = kChoice, .choices = "auto|trace|csv|xes|mxml",
+     .doc = "input format", FLAG(format)},
+    ThreadsOption<Flags>(),
+    {.key = "corpus", .type = kText, .choices = "DIR",
+     .doc = "rank every log in DIR against QUERY", FLAG(corpus)},
+    {.key = "topk", .type = kInteger, .fallback = 5, .min = 0,
+     .doc = "hits to return", FLAG(topk)},
+    {.key = "brute_force", .type = kFlag,
+     .doc = "rank by matching every member", FLAG(brute_force)},
+    {.key = "matrix", .type = kFlag, .doc = "also print the similarity matrix",
+     FLAG(matrix)},
+    {.key = "tsv", .type = kFlag, .doc = "TSV output", FLAG(tsv)},
+    {.key = "json", .type = kFlag, .doc = "JSON output", FLAG(json)},
+    {.key = "prob_out", .type = kText, .choices = "PATH",
+     .doc = "full posterior as TSV (with --prob)", FLAG(prob_out)},
+    {.key = "metrics_out", .type = kText, .choices = "PATH",
+     .doc = "PipelineReport JSON", FLAG(metrics_out)},
+    {.key = "trace_out", .type = kText, .choices = "PATH",
+     .doc = "Chrome trace_event JSON", FLAG(trace_out)},
+    {.key = "cache_dir", .type = kText, .choices = "PATH",
+     .doc = "persistent artifact store", FLAG(cache_dir)},
+};
+
+#undef FLAG
+
+std::string Usage(const char* argv0) {
+  return std::string("usage: ") + argv0 + " [options] LOG1 LOG2\n       " +
+         argv0 + " [options] --corpus=DIR [--topk=K] [--brute-force] QUERY\n" +
+         "match options:\n" + serve::MatchOptionsUsage() + "tool options:\n" +
+         OptionsUsage<Flags>(kFlags);
 }
 
-Result<Flags> ParseArgs(int argc, char** argv) {
-  Flags flags;
-  serve::MatchOptionsParser options;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (arg == "--matrix") flags.matrix = true;
-    else if (arg == "--tsv") flags.tsv = true;
-    else if (arg == "--json") flags.json = true;
-    else if (arg == "--brute-force") flags.brute_force = true;
-    else if (ParseFlag(arg, "format", &value)) flags.format = value;
-    else if (ParseFlag(arg, "prob-out", &value)) flags.prob_out = value;
-    else if (ParseFlag(arg, "metrics-out", &value)) flags.metrics_out = value;
-    else if (ParseFlag(arg, "trace-out", &value)) flags.trace_out = value;
-    else if (ParseFlag(arg, "cache-dir", &value)) flags.cache_dir = value;
-    else if (ParseFlag(arg, "corpus", &value)) flags.corpus = value;
-    else if (ParseFlag(arg, "threads", &value)) {
-      if (!ParseNumber(value, &flags.threads) || flags.threads < 0) {
-        return Status::InvalidArgument("--threads must be an integer >= 0");
-      }
-    } else if (ParseFlag(arg, "topk", &value)) {
-      if (!ParseNumber(value, &flags.topk) || flags.topk < 0) {
-        return Status::InvalidArgument("--topk must be an integer >= 0");
-      }
-    } else if (StartsWith(arg, "--")) {
-      // A match option: the schema row named by the flag, '-' -> '_'.
-      const size_t eq = arg.find('=');
-      std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-      std::replace(key.begin(), key.end(), '-', '_');
-      const serve::MatchOptionSpec* spec = serve::FindMatchOption(key);
-      if (spec == nullptr) {
-        return Status::InvalidArgument("unknown option '" + arg + "'");
-      }
-      const bool flag = spec->type == serve::OptionType::kFlag;
-      if (flag != (eq == std::string::npos)) {
-        return Status::InvalidArgument(
-            arg.substr(0, eq) + (flag ? " takes no value" : " needs a value"));
-      }
-      EMS_RETURN_NOT_OK(options.SetText(
-          *spec, eq == std::string::npos ? "" : arg.substr(eq + 1)));
-    } else {
-      flags.positional.push_back(arg);
-    }
-  }
-  EMS_ASSIGN_OR_RETURN(flags.options, options.Finish());
-  // CLI contract: default = hardware concurrency, 0 = serial. EmsOptions
-  // spells those 0 and 1 respectively.
-  flags.options.ems.num_threads =
-      flags.threads < 0 ? 0 : (flags.threads == 0 ? 1 : flags.threads);
+Result<Flags> ParseFlags(int argc, char** argv) {
+  OptionParser<Flags> tool(kFlags);
+  serve::MatchOptionsParser match;
+  std::vector<std::string> positional;
+  EMS_RETURN_NOT_OK(ParseArgs(argc, argv, &positional, tool, match));
+  Flags flags = tool.target();
+  flags.positional = std::move(positional);
+  EMS_ASSIGN_OR_RETURN(flags.options, match.Finish());
+  // EmsOptions spells serial 1, not 0.
+  flags.options.ems.num_threads = std::max(flags.threads, 1);
   if (flags.corpus.empty()) {
     if (flags.positional.size() != 2) {
       return Status::InvalidArgument("expected exactly two log files");
@@ -230,10 +198,7 @@ int RunCorpusQuery(const Flags& flags, store::ArtifactStore* store,
     return 1;
   }
 
-  exec::ThreadPoolOptions pool_options;
-  pool_options.num_threads =
-      flags.threads < 0 ? 0 : (flags.threads == 0 ? 1 : flags.threads);
-  exec::ThreadPool pool(pool_options);
+  exec::ThreadPool pool(std::max(flags.threads, 1));
 
   index::TopKOptions topk_options;
   topk_options.k = static_cast<size_t>(flags.topk);
@@ -335,12 +300,9 @@ int RunCorpusQuery(const Flags& flags, store::ArtifactStore* store,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Result<Flags> flags_result = ParseArgs(argc, argv);
+  Result<Flags> flags_result = ParseFlags(argc, argv);
   if (!flags_result.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 flags_result.status().message().c_str());
-    Usage(argv[0]);
-    return 2;
+    return UsageError(flags_result.status(), Usage(argv[0]));
   }
   const Flags& flags = *flags_result;
 

@@ -8,52 +8,16 @@
 //
 //   ems_serve [options] < jobs.ndjson > results.ndjson
 //
-// Options:
-//   --threads=N        worker threads (default 0 = hardware concurrency;
-//                      in --tcp mode, the total across all shards)
-//   --queue-size=N     bounded job queue capacity (default 256; per
-//                      shard in --tcp mode)
-//   --cache-size=N     parsed-log LRU capacity, in logs (default 64)
-//   --cache-bytes=N    parsed-log LRU byte budget (default 0 = entry
-//                      count only)
-//   --cache-dir=PATH   persistent artifact store directory
-//                      (docs/PERSISTENCE.md); restarting with the same
-//                      directory starts warm — the first job per log
-//                      loads its snapshot instead of re-parsing. In
-//                      --tcp mode shard i persists under
-//                      PATH/shard-<i>.
-//   --cache-dir-bytes=N byte budget of the on-disk store (default 0 =
-//                      unbounded; LRU file eviction)
-//   --metrics-out=PATH write a PipelineReport JSON (pool, cache, store,
-//                      and serve.* metrics) to PATH on exit
-//   --stats-out=PATH   publish metrics in Prometheus text exposition
-//                      format to PATH, atomically (tmp + rename), from a
-//                      background thread; one final write on shutdown
-//   --stats-interval=S exposition write period in seconds (default 5;
-//                      requires --stats-out)
-//   --flight-slow=N    flight recorder: retain the N slowest requests
-//                      (default 16); --flight-failed=N likewise for the
-//                      most recent failures
-//   --log-level=L      structured stderr logging threshold:
-//                      error|warn|info|debug (default warn; one JSON
-//                      line per event)
-//   --socket=PATH      accept one client at a time on a Unix domain
-//                      socket instead of stdin/stdout (POSIX only). A
-//                      stale socket file left by a killed process is
-//                      replaced; a path owned by a live server is
-//                      refused.
-//   --tcp=HOST:PORT    sharded TCP mode (docs/SERVING.md): accept
-//                      concurrent connections, consistent-hash jobs
-//                      across shards, shed overload with explicit
-//                      `overloaded` responses. PORT 0 binds an ephemeral
-//                      port (see --tcp-announce).
-//   --tcp-announce=PATH write the bound "host:port" to PATH atomically
-//                      once listening (scripts discover ephemeral ports
-//                      this way)
-//   --shards=N         worker shards in --tcp mode (default 4)
-//   --vnodes=N         hash-ring virtual nodes per shard (default 64)
-//   --max-inflight=N   per-shard admission cap (default 0 = shard
-//                      threads + queue capacity)
+// The options are the rows of kFlags below; a usage error prints them.
+// --socket accepts one client at a time on a Unix domain socket instead
+// of stdin/stdout (a stale socket file left by a killed process is
+// replaced; a path owned by a live server is refused). --tcp is the
+// sharded mode (docs/SERVING.md): concurrent connections, jobs
+// consistent-hashed across --shards, overload shed with explicit
+// `overloaded` responses; --threads is then the total across shards,
+// --queue-size and --max-inflight are per shard, and with --cache-dir
+// shard i persists under PATH/shard-<i>. --threads=0 serves jobs
+// serially (one worker, one per shard in --tcp mode).
 //
 // SIGTERM/SIGINT trigger a graceful drain in --socket and --tcp modes:
 // stop accepting, finish every admitted job, flush the stats exporter,
@@ -68,7 +32,6 @@
 //   command.
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -90,142 +53,87 @@
 #include "serve/service.h"
 #include "serve/sharded_service.h"
 #include "serve/stats_exporter.h"
+#include "util/flags.h"
 #include "util/log.h"
 #include "util/timer.h"
 
 namespace {
 
 using namespace ems;
-
-void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--threads=N] [--queue-size=N] [--cache-size=N]\n"
-               "          [--cache-bytes=N] [--cache-dir=PATH]\n"
-               "          [--cache-dir-bytes=N]\n"
-               "          [--metrics-out=PATH] [--stats-out=PATH]\n"
-               "          [--stats-interval=SECONDS] [--flight-slow=N]\n"
-               "          [--flight-failed=N] [--log-level=LEVEL]\n"
-               "          [--socket=PATH]\n"
-               "          [--tcp=HOST:PORT] [--tcp-announce=PATH]\n"
-               "          [--shards=N] [--vnodes=N] [--max-inflight=N]\n"
-               "reads NDJSON job lines from stdin (or the socket/TCP\n"
-               "listener), writes one JSON result line per job; schema\n"
-               "documented in src/serve/service.h, wire protocol in\n"
-               "docs/SERVING.md\n",
-               argv0);
-}
+using enum OptionType;
 
 struct Flags {
-  int threads = 0;
-  size_t queue_size = 256;
-  size_t cache_size = 64;
-  size_t cache_bytes = 0;
+  int threads;
+  size_t queue_size;
+  size_t cache_size;
+  size_t cache_bytes;
   std::string cache_dir;
-  unsigned long long cache_dir_bytes = 0;
+  unsigned long long cache_dir_bytes;
   std::string metrics_out;
   std::string stats_out;
-  double stats_interval = 5.0;
-  size_t flight_slow = 16;
-  size_t flight_failed = 16;
+  double stats_interval;
+  size_t flight_slow;
+  size_t flight_failed;
+  LogLevel log_level;
   std::string socket_path;
   std::string tcp;
   std::string tcp_announce;
-  int shards = 4;
-  int vnodes = 64;
-  size_t max_inflight = 0;
+  int shards;
+  int vnodes;
+  size_t max_inflight;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
+#define FLAG(field) EMS_OPTION_FIELD(Flags, field)
 
-Result<Flags> ParseArgs(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "threads", &value)) {
-      flags.threads = std::atoi(value.c_str());
-      if (flags.threads < 0) {
-        return Status::InvalidArgument("--threads must be >= 0");
-      }
-    } else if (ParseFlag(arg, "queue-size", &value)) {
-      const long n = std::atol(value.c_str());
-      if (n <= 0) return Status::InvalidArgument("--queue-size must be > 0");
-      flags.queue_size = static_cast<size_t>(n);
-    } else if (ParseFlag(arg, "cache-size", &value)) {
-      const long n = std::atol(value.c_str());
-      if (n <= 0) return Status::InvalidArgument("--cache-size must be > 0");
-      flags.cache_size = static_cast<size_t>(n);
-    } else if (ParseFlag(arg, "cache-bytes", &value)) {
-      const long long n = std::atoll(value.c_str());
-      if (n < 0) return Status::InvalidArgument("--cache-bytes must be >= 0");
-      flags.cache_bytes = static_cast<size_t>(n);
-    } else if (ParseFlag(arg, "cache-dir", &value)) {
-      flags.cache_dir = value;
-    } else if (ParseFlag(arg, "cache-dir-bytes", &value)) {
-      const long long n = std::atoll(value.c_str());
-      if (n < 0) {
-        return Status::InvalidArgument("--cache-dir-bytes must be >= 0");
-      }
-      flags.cache_dir_bytes = static_cast<unsigned long long>(n);
-    } else if (ParseFlag(arg, "metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(arg, "stats-out", &value)) {
-      flags.stats_out = value;
-    } else if (ParseFlag(arg, "stats-interval", &value)) {
-      flags.stats_interval = std::atof(value.c_str());
-      if (flags.stats_interval <= 0.0) {
-        return Status::InvalidArgument("--stats-interval must be > 0");
-      }
-    } else if (ParseFlag(arg, "flight-slow", &value)) {
-      const long n = std::atol(value.c_str());
-      if (n < 0) return Status::InvalidArgument("--flight-slow must be >= 0");
-      flags.flight_slow = static_cast<size_t>(n);
-    } else if (ParseFlag(arg, "flight-failed", &value)) {
-      const long n = std::atol(value.c_str());
-      if (n < 0) {
-        return Status::InvalidArgument("--flight-failed must be >= 0");
-      }
-      flags.flight_failed = static_cast<size_t>(n);
-    } else if (ParseFlag(arg, "log-level", &value)) {
-      Result<LogLevel> level = ParseLogLevel(value);
-      if (!level.ok()) return level.status();
-      SetGlobalLogLevel(*level);
-    } else if (ParseFlag(arg, "socket", &value)) {
-      flags.socket_path = value;
-    } else if (ParseFlag(arg, "tcp", &value)) {
-      flags.tcp = value;
-    } else if (ParseFlag(arg, "tcp-announce", &value)) {
-      flags.tcp_announce = value;
-    } else if (ParseFlag(arg, "shards", &value)) {
-      flags.shards = std::atoi(value.c_str());
-      if (flags.shards < 1) {
-        return Status::InvalidArgument("--shards must be >= 1");
-      }
-    } else if (ParseFlag(arg, "vnodes", &value)) {
-      flags.vnodes = std::atoi(value.c_str());
-      if (flags.vnodes < 1) {
-        return Status::InvalidArgument("--vnodes must be >= 1");
-      }
-    } else if (ParseFlag(arg, "max-inflight", &value)) {
-      const long long n = std::atoll(value.c_str());
-      if (n < 0) {
-        return Status::InvalidArgument("--max-inflight must be >= 0");
-      }
-      flags.max_inflight = static_cast<size_t>(n);
-    } else {
-      return Status::InvalidArgument("unknown argument '" + arg + "'");
-    }
-  }
-  if (!flags.socket_path.empty() && !flags.tcp.empty()) {
-    return Status::InvalidArgument("--socket and --tcp are exclusive");
-  }
-  return flags;
-}
+const OptionSpec<Flags> kFlags[] = {
+    ThreadsOption<Flags>(),
+    {.key = "queue_size", .type = kInteger, .fallback = 256, .min = 1,
+     .doc = "bounded job queue capacity", FLAG(queue_size)},
+    {.key = "cache_size", .type = kInteger, .fallback = 64, .min = 1,
+     .doc = "parsed-log LRU capacity, in logs", FLAG(cache_size)},
+    {.key = "cache_bytes", .type = kInteger, .min = 0,
+     .doc = "parsed-log LRU byte budget (0: entry count only)",
+     FLAG(cache_bytes)},
+    {.key = "cache_dir", .type = kText, .choices = "PATH",
+     .doc = "persistent artifact store (docs/PERSISTENCE.md); a restart "
+            "with the same directory starts warm",
+     FLAG(cache_dir)},
+    {.key = "cache_dir_bytes", .type = kInteger, .min = 0,
+     .doc = "byte budget of the on-disk store (0: unbounded)",
+     FLAG(cache_dir_bytes)},
+    {.key = "metrics_out", .type = kText, .choices = "PATH",
+     .doc = "PipelineReport JSON on exit", FLAG(metrics_out)},
+    {.key = "stats_out", .type = kText, .choices = "PATH",
+     .doc = "Prometheus text exposition, rewritten atomically from a "
+            "background thread and once on shutdown",
+     FLAG(stats_out)},
+    {.key = "stats_interval", .fallback = 5, .min = 0, .min_open = true,
+     .doc = "exposition write period in seconds", FLAG(stats_interval)},
+    {.key = "flight_slow", .type = kInteger, .fallback = 16, .min = 0,
+     .doc = "flight recorder: slowest requests retained", FLAG(flight_slow)},
+    {.key = "flight_failed", .type = kInteger, .fallback = 16, .min = 0,
+     .doc = "flight recorder: recent failures retained", FLAG(flight_failed)},
+    {.key = "log_level", .type = kChoice, .fallback = 1,
+     .choices = "error|warn|info|debug",
+     .doc = "structured stderr logging threshold", FLAG(log_level)},
+    {.key = "socket", .type = kText, .choices = "PATH",
+     .doc = "serve a Unix domain socket instead of stdin/stdout",
+     FLAG(socket_path)},
+    {.key = "tcp", .type = kText, .choices = "HOST:PORT",
+     .doc = "sharded TCP mode; PORT 0 binds an ephemeral port", FLAG(tcp)},
+    {.key = "tcp_announce", .type = kText, .choices = "PATH",
+     .doc = "write the bound host:port to PATH once listening",
+     FLAG(tcp_announce)},
+    {.key = "shards", .type = kInteger, .fallback = 4, .min = 1,
+     .doc = "worker shards in --tcp mode", FLAG(shards)},
+    {.key = "vnodes", .type = kInteger, .fallback = 64, .min = 1,
+     .doc = "hash-ring virtual nodes per shard", FLAG(vnodes)},
+    {.key = "max_inflight", .type = kInteger, .min = 0,
+     .doc = "per-shard admission cap (0: shard threads + queue capacity)",
+     FLAG(max_inflight)},
+};
+
+#undef FLAG
 
 #ifndef _WIN32
 // Graceful-drain signal plumbing. The handler may only touch lock-free
@@ -449,13 +357,19 @@ int ServeTcp(const Flags& flags) {
 #endif
 
 int Run(int argc, char** argv) {
-  Result<Flags> flags_result = ParseArgs(argc, argv);
-  if (!flags_result.ok()) {
-    LogError(flags_result.status().message());
-    Usage(argv[0]);
-    return 2;
+  OptionParser<Flags> parser(kFlags);
+  Status parsed = ParseArgs(argc, argv, nullptr, parser);
+  Flags flags = parser.target();
+  if (parsed.ok() && !flags.socket_path.empty() && !flags.tcp.empty()) {
+    parsed = Status::InvalidArgument("--socket and --tcp are exclusive");
   }
-  const Flags& flags = *flags_result;
+  if (!parsed.ok()) {
+    return UsageError(parsed, argv[0], "[options] < JOBS > RESULTS",
+                      parser);
+  }
+  // Serial is one worker; ServiceOptions reads 0 as hardware concurrency.
+  flags.threads = std::max(flags.threads, 1);
+  SetGlobalLogLevel(flags.log_level);
 
   if (!flags.tcp.empty()) {
 #ifndef _WIN32

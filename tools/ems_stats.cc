@@ -2,9 +2,9 @@
 // trace variants, per-event frequencies, and (optionally) the dependency
 // graph as Graphviz DOT.
 //
-//   ems_stats [--format=auto|trace|csv|xes|mxml] [--variants=N] [--dot]
-//             [--cache-dir=PATH] LOG
+//   ems_stats [options] LOG
 //
+// The options are the rows of kFlags below; a usage error prints them.
 // With --cache-dir the parsed log is snapshotted into the persistent
 // artifact store (docs/PERSISTENCE.md) and re-runs load the snapshot
 // instead of re-parsing.
@@ -17,38 +17,53 @@
 #include "log/log_stats.h"
 #include "serve/log_cache.h"
 #include "store/artifact_store.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 using namespace ems;
+using enum OptionType;
+
+namespace {
+
+struct Flags {
+  std::string format;
+  size_t variants;
+  bool dot;
+  std::string cache_dir;
+};
+
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "format", .type = kChoice, .choices = "auto|trace|csv|xes|mxml",
+     .doc = "input format", EMS_OPTION_FIELD(Flags, format)},
+    {.key = "variants", .type = kInteger, .fallback = 5, .min = 0,
+     .doc = "most frequent trace variants to list",
+     EMS_OPTION_FIELD(Flags, variants)},
+    {.key = "dot", .type = kFlag,
+     .doc = "also print the dependency graph as Graphviz DOT",
+     EMS_OPTION_FIELD(Flags, dot)},
+    {.key = "cache_dir", .type = kText, .choices = "PATH",
+     .doc = "persistent artifact store", EMS_OPTION_FIELD(Flags, cache_dir)},
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  std::string format = "auto";
-  size_t show_variants = 5;
-  bool dot = false;
-  std::string cache_dir;
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--format=", 0) == 0) format = arg.substr(9);
-    else if (arg.rfind("--variants=", 0) == 0) {
-      show_variants = static_cast<size_t>(std::atoi(arg.c_str() + 11));
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      cache_dir = arg.substr(12);
-    } else if (arg == "--dot") dot = true;
-    else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return 2;
-    } else path = arg;
+  OptionParser<Flags> parser(kFlags);
+  std::vector<std::string> positional;
+  Status parsed = ParseArgs(argc, argv, &positional, parser);
+  if (parsed.ok() && positional.size() != 1) {
+    parsed = Status::InvalidArgument("expected one LOG");
   }
-  if (path.empty()) {
-    std::fprintf(stderr, "usage: %s [options] LOG\n", argv[0]);
-    return 2;
+  if (!parsed.ok()) {
+    return UsageError(parsed, argv[0], "[options] LOG", parser);
   }
+  const Flags& flags = parser.target();
+  const std::string& path = positional[0];
 
   std::optional<store::ArtifactStore> artifact_store;
-  if (!cache_dir.empty()) {
+  if (!flags.cache_dir.empty()) {
     store::ArtifactStoreOptions store_options;
-    store_options.dir = cache_dir;
+    store_options.dir = flags.cache_dir;
     Result<store::ArtifactStore> opened =
         store::ArtifactStore::Open(std::move(store_options));
     if (opened.ok()) {
@@ -60,7 +75,8 @@ int main(int argc, char** argv) {
   }
 
   Result<EventLog> log = serve::LoadEventLogThroughStore(
-      artifact_store.has_value() ? &*artifact_store : nullptr, path, format);
+      artifact_store.has_value() ? &*artifact_store : nullptr, path,
+      flags.format);
   if (!log.ok()) {
     std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
     return 1;
@@ -84,12 +100,12 @@ int main(int argc, char** argv) {
 
   std::vector<TraceVariant> variants = TraceVariants(*log);
   std::printf("\ntop trace variants:\n");
-  for (size_t i = 0; i < std::min(show_variants, variants.size()); ++i) {
+  for (size_t i = 0; i < std::min(flags.variants, variants.size()); ++i) {
     std::printf("  %4zux  %s\n", variants[i].count,
                 Join(variants[i].activities, " -> ").c_str());
   }
 
-  if (dot) {
+  if (flags.dot) {
     DependencyGraph g = DependencyGraph::Build(*log);
     std::printf("\n%s", ToDot(g).c_str());
   }

@@ -11,20 +11,13 @@
 //   ems_top --tcp=127.0.0.1:7463 --once
 //   ems_top --from-file=stats.json        # render one captured response
 //
-// Options:
-//   --socket=PATH    Unix socket of a running `ems_serve --socket=PATH`
-//   --tcp=HOST:PORT  TCP endpoint of a running `ems_serve --tcp=...`
-//   --interval=S     seconds between probes (default 2)
-//   --count=N        exit after N frames (default 0 = until interrupted)
-//   --once           shorthand for --count=1 (no screen clearing)
-//   --from-file=PATH render a stats response line captured to a file and
-//                    exit — the offline/testing mode, no connection
-//                    needed
+// The options are the rows of kFlags below; a usage error prints them.
+// --from-file renders a stats response line captured to a file and
+// exits: the offline/testing mode, no connection needed.
 //
 // Each frame sends one stats probe; the service computes interval rates
 // against the previous probe, so QPS settles after the first frame.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,6 +26,7 @@
 #endif
 
 #include "net/wire.h"
+#include "util/flags.h"
 #include "util/json_parser.h"
 #include "util/log.h"
 #include "util/status.h"
@@ -40,70 +34,36 @@
 namespace {
 
 using namespace ems;
-
-void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s (--socket=PATH | --tcp=HOST:PORT) "
-               "[--interval=SECONDS] [--count=N] [--once]\n"
-               "       %s --from-file=PATH\n"
-               "polls a running ems_serve for {\"cmd\":\"stats\"} and renders "
-               "a dashboard\n",
-               argv0, argv0);
-}
+using enum OptionType;
 
 struct Flags {
   std::string socket_path;
   std::string tcp;
   std::string from_file;
-  double interval = 2.0;
-  long count = 0;  // 0 = run until interrupted
-  bool clear_screen = true;
+  double interval;
+  long count;  // 0 = run until interrupted
+  bool once;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
+#define FLAG(field) EMS_OPTION_FIELD(Flags, field)
 
-Result<Flags> ParseArgs(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "socket", &value)) {
-      flags.socket_path = value;
-    } else if (ParseFlag(arg, "tcp", &value)) {
-      flags.tcp = value;
-    } else if (ParseFlag(arg, "from-file", &value)) {
-      flags.from_file = value;
-    } else if (ParseFlag(arg, "interval", &value)) {
-      flags.interval = std::atof(value.c_str());
-      if (flags.interval <= 0.0) {
-        return Status::InvalidArgument("--interval must be > 0");
-      }
-    } else if (ParseFlag(arg, "count", &value)) {
-      flags.count = std::atol(value.c_str());
-      if (flags.count < 0) {
-        return Status::InvalidArgument("--count must be >= 0");
-      }
-    } else if (arg == "--once") {
-      flags.count = 1;
-      flags.clear_screen = false;
-    } else {
-      return Status::InvalidArgument("unknown argument '" + arg + "'");
-    }
-  }
-  const int endpoints = (flags.socket_path.empty() ? 0 : 1) +
-                        (flags.tcp.empty() ? 0 : 1) +
-                        (flags.from_file.empty() ? 0 : 1);
-  if (endpoints != 1) {
-    return Status::InvalidArgument(
-        "exactly one of --socket, --tcp, or --from-file is required");
-  }
-  return flags;
-}
+const OptionSpec<Flags> kFlags[] = {
+    {.key = "socket", .type = kText, .choices = "PATH",
+     .doc = "Unix socket of a running ems_serve --socket=PATH",
+     FLAG(socket_path)},
+    {.key = "tcp", .type = kText, .choices = "HOST:PORT",
+     .doc = "TCP endpoint of a running ems_serve --tcp", FLAG(tcp)},
+    {.key = "from_file", .type = kText, .choices = "PATH",
+     .doc = "render one captured stats response and exit", FLAG(from_file)},
+    {.key = "interval", .fallback = 2, .min = 0, .min_open = true,
+     .doc = "seconds between probes", FLAG(interval)},
+    {.key = "count", .type = kInteger, .min = 0,
+     .doc = "exit after N frames (0: until interrupted)", FLAG(count)},
+    {.key = "once", .type = kFlag, .doc = "one frame, no screen clearing",
+     FLAG(once)},
+};
+
+#undef FLAG
 
 double FindRate(const JsonValue& stats, const char* counter) {
   const JsonValue* rates = stats.Find("rates");
@@ -413,7 +373,7 @@ int RunPolling(const Flags& flags) {
       rc = 1;
       break;
     }
-    RenderFrame(line, flags.clear_screen);
+    RenderFrame(line, !flags.once);
     ++frame;
     if (flags.count > 0 && frame >= flags.count) break;
     ::usleep(static_cast<useconds_t>(flags.interval * 1e6));
@@ -424,15 +384,24 @@ int RunPolling(const Flags& flags) {
 #endif
 
 int Run(int argc, char** argv) {
-  Result<Flags> flags = ParseArgs(argc, argv);
-  if (!flags.ok()) {
-    LogError(flags.status().message());
-    Usage(argv[0]);
-    return 2;
+  OptionParser<Flags> parser(kFlags);
+  Status parsed = ParseArgs(argc, argv, nullptr, parser);
+  Flags flags = parser.target();
+  if (parsed.ok() && (!flags.socket_path.empty() + !flags.tcp.empty() +
+                      !flags.from_file.empty()) != 1) {
+    parsed = Status::InvalidArgument(
+        "exactly one of --socket, --tcp, or --from-file is required");
   }
-  if (!flags->from_file.empty()) return RunFromFile(flags->from_file);
+  if (!parsed.ok()) {
+    return UsageError(parsed, argv[0],
+                      "(--socket=PATH | --tcp=HOST:PORT | --from-file=PATH) "
+                      "[options]",
+                      parser);
+  }
+  if (flags.once) flags.count = 1;
+  if (!flags.from_file.empty()) return RunFromFile(flags.from_file);
 #ifndef _WIN32
-  return RunPolling(*flags);
+  return RunPolling(flags);
 #else
   LogError("--socket polling is not supported on this OS");
   return 2;
