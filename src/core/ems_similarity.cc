@@ -765,16 +765,4 @@ SimilarityMatrix EmsSimilarity::ComputePartial(Direction direction,
   return result;
 }
 
-SimilarityMatrix ComputeEmsSimilarity(const EventLog& log1,
-                                      const EventLog& log2,
-                                      const EmsOptions& options,
-                                      EmsStats* stats) {
-  DependencyGraph g1 = DependencyGraph::Build(log1);
-  DependencyGraph g2 = DependencyGraph::Build(log2);
-  EmsSimilarity sim(g1, g2, options);
-  SimilarityMatrix result = sim.Compute();
-  if (stats != nullptr) *stats = sim.stats();
-  return result;
-}
-
 }  // namespace ems

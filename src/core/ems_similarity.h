@@ -333,11 +333,4 @@ class EmsSimilarity {
   std::vector<double> panel_;
 };
 
-/// Convenience wrapper: computes the EMS similarity matrix between two
-/// event logs end-to-end (builds graphs with artificial events).
-SimilarityMatrix ComputeEmsSimilarity(const EventLog& log1,
-                                      const EventLog& log2,
-                                      const EmsOptions& options = {},
-                                      EmsStats* stats = nullptr);
-
 }  // namespace ems

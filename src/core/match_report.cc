@@ -68,21 +68,4 @@ std::string MatchResultToJson(const MatchResult& result) {
   return w.str();
 }
 
-std::string ConformanceToJson(const ConformanceReport& report) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("vocabulary_overlap");
-  w.Number(report.vocabulary_overlap);
-  w.Key("relation_overlap");
-  w.Number(report.relation_overlap);
-  w.Key("trace_coverage_1in2");
-  w.Number(report.trace_coverage_1in2);
-  w.Key("trace_coverage_2in1");
-  w.Number(report.trace_coverage_2in1);
-  w.Key("f_conformance");
-  w.Number(report.f_conformance);
-  w.EndObject();
-  return w.str();
-}
-
 }  // namespace ems

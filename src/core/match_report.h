@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/matcher.h"
-#include "core/translation.h"
 
 namespace ems {
 
@@ -18,8 +17,5 @@ namespace ems {
 ///   "graphs": {"left_events": N, "right_events": N}
 /// }
 std::string MatchResultToJson(const MatchResult& result);
-
-/// JSON document for a conformance report.
-std::string ConformanceToJson(const ConformanceReport& report);
 
 }  // namespace ems

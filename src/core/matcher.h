@@ -119,7 +119,7 @@ struct MatchResult {
 
   /// Full posterior of the EM run (present iff MatchOptions::prob was
   /// enabled): responsibilities, MAP assignment, per-row entropies and
-  /// convergence stats — snapshot-able via store::EncodeSoftMatch.
+  /// convergence stats.
   std::optional<prob::SoftMatchResult> soft;
 };
 

@@ -137,15 +137,4 @@ ConformanceReport CrossLogConformance(const EventLog& log1,
   return report;
 }
 
-Result<ConformanceReport> MatchAndCompare(const EventLog& log1,
-                                          const EventLog& log2,
-                                          const MatchOptions& options) {
-  Matcher matcher(options);
-  EMS_ASSIGN_OR_RETURN(MatchResult match, matcher.Match(log1, log2));
-  std::map<std::string, std::string> table =
-      TranslationTable(match.correspondences);
-  EventLog translated = TranslateLog(log1, table);
-  return CrossLogConformance(translated, log2);
-}
-
 }  // namespace ems

@@ -53,10 +53,4 @@ struct ConformanceReport {
 ConformanceReport CrossLogConformance(const EventLog& log1,
                                       const EventLog& log2);
 
-/// Convenience: match two heterogeneous logs, translate log 2 into
-/// log 1's vocabulary, and report conformance.
-Result<ConformanceReport> MatchAndCompare(const EventLog& log1,
-                                          const EventLog& log2,
-                                          const MatchOptions& options = {});
-
 }  // namespace ems

@@ -14,29 +14,14 @@ void GroundTruth::AddComplex(std::vector<std::string> left,
   entries_.push_back(TruthEntry{std::move(left), std::move(right)});
 }
 
-namespace {
-
-void RenameSide(std::vector<TruthEntry>* entries, bool left,
-                const std::map<std::string, std::string>& renames) {
-  for (TruthEntry& e : *entries) {
-    std::vector<std::string>& side = left ? e.left : e.right;
-    for (std::string& name : side) {
+void GroundTruth::RenameRight(
+    const std::map<std::string, std::string>& renames) {
+  for (TruthEntry& e : entries_) {
+    for (std::string& name : e.right) {
       auto it = renames.find(name);
       if (it != renames.end()) name = it->second;
     }
   }
-}
-
-}  // namespace
-
-void GroundTruth::RenameLeft(
-    const std::map<std::string, std::string>& renames) {
-  RenameSide(&entries_, /*left=*/true, renames);
-}
-
-void GroundTruth::RenameRight(
-    const std::map<std::string, std::string>& renames) {
-  RenameSide(&entries_, /*left=*/false, renames);
 }
 
 void GroundTruth::RestrictToVocabularies(

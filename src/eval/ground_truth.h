@@ -32,11 +32,8 @@ class GroundTruth {
   void AddComplex(std::vector<std::string> left,
                   std::vector<std::string> right);
 
-  /// Renames left-side events (e.g. after perturbations); names absent
+  /// Renames right-side events (e.g. after perturbations); names absent
   /// from the map are kept.
-  void RenameLeft(const std::map<std::string, std::string>& renames);
-
-  /// Renames right-side events.
   void RenameRight(const std::map<std::string, std::string>& renames);
 
   /// Drops correspondences whose left/right events are no longer in the

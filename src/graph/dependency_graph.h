@@ -1,6 +1,6 @@
 // Event dependency graph (Definition 1) with the artificial event v^X
 // (Section 2) that makes dislocated matching possible, minimum-frequency
-// filtering, node merging for composite events (Section 4), and the
+// filtering, composite-event collapsing (Section 4), and the
 // structural quantities the algorithms need: pre/post sets, longest
 // distances l(v) from v^X (Proposition 2), and ancestor sets
 // (Proposition 4).
@@ -146,10 +146,6 @@ class DependencyGraph {
     return post_[static_cast<size_t>(v)];
   }
 
-  /// Average degree (mean of |v•| over all nodes) — the d_avg of the
-  /// complexity analysis in Section 3.2.
-  double AverageDegree() const;
-
   /// The EventIds of the log events this node represents (singleton for
   /// plain events, >1 for composites, empty for v^X).
   const std::vector<EventId>& Members(NodeId v) const {
@@ -175,17 +171,6 @@ class DependencyGraph {
 
   /// All descendants of `v` (nodes reachable from v), excluding v^X and v.
   std::vector<NodeId> Descendants(NodeId v) const;
-
-  /// Graph-level node merging (edge contraction) for composite events when
-  /// no log is available: the merged node's frequency is the max of member
-  /// frequencies, and parallel edges keep the max frequency. Edges
-  /// internal to the merged set disappear. `nodes` must be >= 2 distinct
-  /// real nodes.
-  Result<DependencyGraph> MergeNodes(const std::vector<NodeId>& nodes) const;
-
-  /// Copy with real edges below `threshold` removed (minimum frequency
-  /// control; artificial edges retained).
-  DependencyGraph FilterEdges(double threshold) const;
 
   /// Adjacency of one direction flattened into contiguous CSR arrays —
   /// the form the optimized EMS kernel scans (see docs/PERFORMANCE.md).

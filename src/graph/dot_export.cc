@@ -52,16 +52,6 @@ void EmitNodesAndEdges(const DependencyGraph& g, const DotOptions& options,
 
 }  // namespace
 
-Status WriteDot(const DependencyGraph& g, std::ostream& out,
-                const DotOptions& options) {
-  out << "digraph " << options.name << " {\n";
-  out << "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
-  EmitNodesAndEdges(g, options, "n", out);
-  out << "}\n";
-  if (!out) return Status::IOError("write failed");
-  return Status::OK();
-}
-
 Status WriteMatchDot(const MatchResult& result, std::ostream& out,
                      const DotOptions& options) {
   out << "digraph " << options.name << " {\n";
@@ -105,7 +95,10 @@ Status WriteMatchDot(const MatchResult& result, std::ostream& out,
 
 std::string ToDot(const DependencyGraph& g, const DotOptions& options) {
   std::ostringstream out;
-  (void)WriteDot(g, out, options);
+  out << "digraph " << options.name << " {\n";
+  out << "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
+  EmitNodesAndEdges(g, options, "n", out);
+  out << "}\n";
   return out.str();
 }
 

@@ -22,17 +22,13 @@ struct DotOptions {
   std::string name = "dependency_graph";
 };
 
-/// Writes one dependency graph as a DOT digraph.
-Status WriteDot(const DependencyGraph& g, std::ostream& out,
-                const DotOptions& options = {});
-
 /// Writes a match result as a two-cluster DOT digraph: both dependency
 /// graphs side by side with dashed cross-edges for every correspondence,
 /// labeled by similarity.
 Status WriteMatchDot(const MatchResult& result, std::ostream& out,
                      const DotOptions& options = {});
 
-/// Renders WriteDot to a string (convenience for logging/tests).
+/// Renders one dependency graph as a DOT digraph.
 std::string ToDot(const DependencyGraph& g, const DotOptions& options = {});
 
 }  // namespace ems

@@ -1,7 +1,5 @@
 #include "graph/graph_algorithms.h"
 
-#include <algorithm>
-
 namespace ems {
 
 std::vector<std::vector<double>> FrequencyMatrix(const DependencyGraph& g,
@@ -19,76 +17,6 @@ std::vector<std::vector<double>> FrequencyMatrix(const DependencyGraph& g,
     }
   }
   return m;
-}
-
-std::vector<double> NodeFrequencies(const DependencyGraph& g,
-                                    bool include_artificial) {
-  const NodeId start = (g.has_artificial() && !include_artificial) ? 1 : 0;
-  std::vector<double> out;
-  out.reserve(g.NumNodes() - static_cast<size_t>(start));
-  for (NodeId v = start; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    out.push_back(g.NodeFrequency(v));
-  }
-  return out;
-}
-
-std::vector<std::vector<bool>> TransitiveClosure(const DependencyGraph& g) {
-  const NodeId start = g.has_artificial() ? 1 : 0;
-  const size_t n = g.NumNodes() - static_cast<size_t>(start);
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  for (NodeId v = start; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    for (NodeId w : g.Successors(v)) {
-      if (g.IsArtificial(w)) continue;
-      closure[static_cast<size_t>(v - start)][static_cast<size_t>(w - start)] =
-          true;
-    }
-  }
-  for (size_t k = 0; k < n; ++k) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!closure[i][k]) continue;
-      for (size_t j = 0; j < n; ++j) {
-        if (closure[k][j]) closure[i][j] = true;
-      }
-    }
-  }
-  return closure;
-}
-
-bool IsAcyclic(const DependencyGraph& g) {
-  auto closure = TransitiveClosure(g);
-  for (size_t i = 0; i < closure.size(); ++i) {
-    if (closure[i][i]) return false;
-  }
-  return true;
-}
-
-std::vector<NodeId> TopologicalOrder(const DependencyGraph& g) {
-  const NodeId start = g.has_artificial() ? 1 : 0;
-  const size_t n = g.NumNodes() - static_cast<size_t>(start);
-  std::vector<size_t> indegree(n, 0);
-  for (NodeId v = start; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    for (NodeId w : g.Successors(v)) {
-      if (g.IsArtificial(w)) continue;
-      ++indegree[static_cast<size_t>(w - start)];
-    }
-  }
-  std::vector<NodeId> ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(static_cast<NodeId>(i) + start);
-  }
-  std::vector<NodeId> order;
-  order.reserve(n);
-  while (!ready.empty()) {
-    NodeId v = ready.back();
-    ready.pop_back();
-    order.push_back(v);
-    for (NodeId w : g.Successors(v)) {
-      if (g.IsArtificial(w)) continue;
-      if (--indegree[static_cast<size_t>(w - start)] == 0) ready.push_back(w);
-    }
-  }
-  if (order.size() != n) return {};  // cyclic
-  return order;
 }
 
 }  // namespace ems

@@ -1,6 +1,5 @@
-// Generic graph helpers shared by the core similarity and the baselines:
-// dense frequency-matrix extraction (OPQ operates on these), transitive
-// closure, and simple reachability/topology queries.
+// Dense frequency-matrix extraction from a dependency graph; the OPQ
+// baseline operates on these matrices.
 #pragma once
 
 #include <vector>
@@ -15,21 +14,5 @@ namespace ems {
 /// graph); pass include_artificial to keep it as row/column 0.
 std::vector<std::vector<double>> FrequencyMatrix(const DependencyGraph& g,
                                                  bool include_artificial = false);
-
-/// Node frequencies in the same order as FrequencyMatrix rows.
-std::vector<double> NodeFrequencies(const DependencyGraph& g,
-                                    bool include_artificial = false);
-
-/// Boolean reachability closure over real edges (Floyd-Warshall on the
-/// adjacency structure). closure[a][b] == true iff a path a -> ... -> b of
-/// length >= 1 exists. Artificial node excluded.
-std::vector<std::vector<bool>> TransitiveClosure(const DependencyGraph& g);
-
-/// True if the real-edge subgraph (artificial node excluded) is acyclic.
-bool IsAcyclic(const DependencyGraph& g);
-
-/// Topological order of the real-edge subgraph; empty if cyclic. Node ids
-/// in the returned order are DependencyGraph NodeIds (artificial excluded).
-std::vector<NodeId> TopologicalOrder(const DependencyGraph& g);
 
 }  // namespace ems

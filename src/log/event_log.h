@@ -25,7 +25,7 @@ using Trace = std::vector<EventId>;
 /// \brief Delta descriptor of one EventLog::AppendTraces call.
 ///
 /// Identifies the appended suffix so downstream incremental structures
-/// (StreamingDependencyGraph, DependencyGraphBuilder::Append) can fold in
+/// (StreamingDependencyGraph) can fold in
 /// exactly the new traces instead of rescanning the log.
 struct AppendDelta {
   size_t first_new_trace = 0;  ///< Trace count before the append.

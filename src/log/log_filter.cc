@@ -1,19 +1,9 @@
 #include "log/log_filter.h"
 
 #include <algorithm>
-
-#include "log/log_stats.h"
+#include <map>
 
 namespace ems {
-
-EventLog FilterByTraceLength(const EventLog& log, size_t min_length,
-                             size_t max_length) {
-  std::vector<Trace> kept;
-  for (const Trace& t : log.traces()) {
-    if (t.size() >= min_length && t.size() <= max_length) kept.push_back(t);
-  }
-  return log.TransformTraces(kept, nullptr);
-}
 
 std::vector<TraceVariant> TraceVariants(const EventLog& log) {
   std::map<std::vector<std::string>, size_t> counts;
@@ -34,50 +24,6 @@ std::vector<TraceVariant> TraceVariants(const EventLog& log) {
               return a.activities < b.activities;
             });
   return variants;
-}
-
-EventLog KeepTopVariants(const EventLog& log, size_t k) {
-  std::vector<TraceVariant> variants = TraceVariants(log);
-  if (k < variants.size()) variants.resize(k);
-  std::set<std::vector<std::string>> keep;
-  for (const TraceVariant& v : variants) keep.insert(v.activities);
-  std::vector<Trace> kept;
-  for (const Trace& t : log.traces()) {
-    std::vector<std::string> names;
-    names.reserve(t.size());
-    for (EventId e : t) names.push_back(log.EventName(e));
-    if (keep.count(names)) kept.push_back(t);
-  }
-  return log.TransformTraces(kept, nullptr);
-}
-
-EventLog ProjectOntoEvents(const EventLog& log,
-                           const std::set<std::string>& keep) {
-  std::vector<bool> keep_id(log.NumEvents(), false);
-  for (EventId e = 0; e < static_cast<EventId>(log.NumEvents()); ++e) {
-    keep_id[static_cast<size_t>(e)] = keep.count(log.EventName(e)) > 0;
-  }
-  std::vector<Trace> projected;
-  projected.reserve(log.NumTraces());
-  for (const Trace& t : log.traces()) {
-    Trace copy;
-    for (EventId e : t) {
-      if (keep_id[static_cast<size_t>(e)]) copy.push_back(e);
-    }
-    projected.push_back(std::move(copy));
-  }
-  return log.TransformTraces(projected, nullptr);
-}
-
-EventLog FilterRareEvents(const EventLog& log, double min_fraction) {
-  LogStats stats(log);
-  std::set<std::string> keep;
-  for (EventId e = 0; e < static_cast<EventId>(log.NumEvents()); ++e) {
-    if (stats.EventFrequency(e) >= min_fraction) {
-      keep.insert(log.EventName(e));
-    }
-  }
-  return ProjectOntoEvents(log, keep);
 }
 
 LogSummary Summarize(const EventLog& log) {

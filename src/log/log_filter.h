@@ -1,22 +1,14 @@
-// Log filtering and variant analysis: the preprocessing a production
-// deployment runs before matching — dropping degenerate traces, keeping
-// the dominant behavior, projecting onto an event subset, and summarizing
-// trace variants.
+// Trace-variant analysis and per-log summary counters (ems_stats, and the
+// variant translation of src/core/translation.h).
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "log/event_log.h"
 
 namespace ems {
-
-/// Keeps traces whose length is within [min_length, max_length].
-EventLog FilterByTraceLength(const EventLog& log, size_t min_length,
-                             size_t max_length);
 
 /// One distinct trace shape and how often it occurs.
 struct TraceVariant {
@@ -27,19 +19,6 @@ struct TraceVariant {
 /// Distinct trace variants, most frequent first (ties broken by the
 /// lexicographically smaller activity sequence, so the order is stable).
 std::vector<TraceVariant> TraceVariants(const EventLog& log);
-
-/// Keeps only the traces belonging to the `k` most frequent variants.
-/// k >= number of variants keeps everything.
-EventLog KeepTopVariants(const EventLog& log, size_t k);
-
-/// Projects every trace onto the given activity names: occurrences of
-/// all other events are removed. Unknown names are ignored.
-EventLog ProjectOntoEvents(const EventLog& log,
-                           const std::set<std::string>& keep);
-
-/// Removes events occurring in fewer than `min_fraction` of the traces
-/// (rare-activity noise ahead of dependency-graph construction).
-EventLog FilterRareEvents(const EventLog& log, double min_fraction);
 
 /// Per-log summary counters.
 struct LogSummary {

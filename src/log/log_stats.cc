@@ -59,11 +59,4 @@ size_t LogStats::FollowsOccurrences(EventId a, EventId b) const {
   return it == follows_occurrences_.end() ? 0 : it->second;
 }
 
-double LogStats::ConditionalFollows(EventId a, EventId b) const {
-  size_t occ = EventOccurrences(a);
-  if (occ == 0) return 0.0;
-  return static_cast<double>(FollowsOccurrences(a, b)) /
-         static_cast<double>(occ);
-}
-
 }  // namespace ems

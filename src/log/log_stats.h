@@ -49,10 +49,6 @@ class LogStats {
   size_t num_traces() const { return num_traces_; }
   size_t num_events() const { return event_trace_counts_.size(); }
 
-  /// P(next = b | current = a): conditional direct-follows probability,
-  /// based on occurrence counts (used by the Markov-style baselines).
-  double ConditionalFollows(EventId a, EventId b) const;
-
  private:
   size_t num_traces_ = 0;
   std::vector<size_t> event_trace_counts_;

@@ -134,12 +134,6 @@ uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second->value();
 }
 
-size_t MetricsRegistry::NumInstruments() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         quantile_histograms_.size();
-}
-
 void MetricsRegistry::WriteJson(JsonWriter* w) const {
   std::lock_guard<std::mutex> lock(mu_);
   w->BeginObject();

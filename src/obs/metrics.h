@@ -120,8 +120,6 @@ class MetricsRegistry {
   /// The counter's current value, or 0 when it was never created.
   uint64_t CounterValue(std::string_view name) const;
 
-  size_t NumInstruments() const;
-
   // Enumeration in sorted name order, for snapshot capture and text
   // exposition. The callback runs under the registry mutex: it must not
   // call back into the registry. Instrument reads are lock-free, so

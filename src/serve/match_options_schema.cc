@@ -13,7 +13,7 @@ namespace {
 
 #define EMS_OPTION(field) EMS_OPTION_FIELD(MatchOptions, field)
 
-const MatchOptionSpec kSchema[] = {
+constexpr MatchOptionSpec kSchema[] = {
     {.key = "labels", .type = OptionType::kChoice, .fallback = 1,
      .choices = "none|qgram|levenshtein|tokens|jaro",
      .doc = "label similarity beside structure (none: opaque names)",
@@ -99,7 +99,7 @@ Status MatchOptionsParser::SetJson(const MatchOptionSpec& spec,
       if (value.is_bool()) return Set(spec, value.bool_value() ? 1 : 0);
       break;
   }
-  return option_internal::WrongType(spec.key, spec.type, spec.choices);
+  return option_internal::WrongType(spec);
 }
 
 Result<MatchOptions> MatchOptionsParser::Finish() const {
@@ -117,9 +117,7 @@ Result<MatchOptions> MatchOptionsParser::Finish() const {
 uint64_t MatchOptionsFingerprint(const MatchOptions& options) {
   store::FingerprintBuilder fp;
   for (const MatchOptionSpec& spec : kSchema) {
-    fp.Add(spec.key,
-           option_internal::ValueText(spec.type, spec.choices,
-                                      spec.get(options)));
+    fp.Add(spec.key, option_internal::ValueText(spec, spec.get(options)));
   }
   return fp.Finish();
 }

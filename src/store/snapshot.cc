@@ -4,11 +4,8 @@
 
 #include "core/warm_match.h"
 #include "graph/dependency_graph.h"
-#include "graph/dependency_graph_builder.h"
 #include "log/event_log.h"
-#include "prob/soft_match.h"
 #include "store/hashing.h"
-#include "text/cached_label_similarity.h"
 
 namespace ems {
 namespace store {
@@ -17,11 +14,8 @@ const char* ArtifactKindName(ArtifactKind kind) {
   switch (kind) {
     case ArtifactKind::kEventLog: return "log";
     case ArtifactKind::kDependencyGraph: return "graph";
-    case ArtifactKind::kGraphSummary: return "summary";
-    case ArtifactKind::kLabelCache: return "labels";
     case ArtifactKind::kCorpusIndex: return "corpus";
     case ArtifactKind::kSimilarityMatrix: return "seed";
-    case ArtifactKind::kSoftMatch: return "soft";
   }
   return "unknown";
 }
@@ -258,7 +252,7 @@ size_t EstimateLogSnapshotBytes(const EventLog& log) {
 }
 
 // ---------------------------------------------------------------------
-// DependencyGraph / DependencyGraphBuilder (via SnapshotAccess)
+// DependencyGraph (via SnapshotAccess)
 // ---------------------------------------------------------------------
 
 struct SnapshotAccess {
@@ -372,88 +366,6 @@ struct SnapshotAccess {
     EMS_RETURN_NOT_OK(r.ExpectEnd());
     return g;
   }
-
-  static std::string EncodeBuilder(const DependencyGraphBuilder& b) {
-    SnapshotWriter w;
-    w.U64(b.num_traces_);
-    w.U8(b.plus_in_names_ ? 1 : 0);
-    w.U64(b.first_occurrence_.size());
-    for (EventId e : b.first_occurrence_) w.I32(e);
-    w.U64(b.groups_.size());
-    for (const auto& group : b.groups_) {
-      w.U64(group.events.size());
-      for (EventId e : group.events) w.I32(e);
-      w.U64(group.successions.size());
-      for (const auto& [a, bb] : group.successions) {
-        w.I32(a);
-        w.I32(bb);
-      }
-      w.U64(group.multiplicity);
-    }
-    return w.Finish(ArtifactKind::kGraphSummary);
-  }
-
-  static Result<std::unique_ptr<DependencyGraphBuilder>> DecodeBuilder(
-      std::string_view snapshot, const EventLog& log) {
-    EMS_ASSIGN_OR_RETURN(
-        SnapshotReader r,
-        SnapshotReader::Open(snapshot, ArtifactKind::kGraphSummary));
-    auto builder = std::unique_ptr<DependencyGraphBuilder>(
-        new DependencyGraphBuilder(log, DependencyGraphBuilder::RestoreTag{}));
-    builder->num_traces_ = r.U64();
-    if (builder->num_traces_ != log.NumTraces()) {
-      return Status::ParseError(
-          "snapshot does not match log: trace count differs");
-    }
-    builder->plus_in_names_ = r.U8() != 0;
-    const auto check_event = [&log](EventId e) {
-      return e >= 0 && static_cast<size_t>(e) < log.NumEvents();
-    };
-    const uint64_t num_first = r.U64();
-    if (!r.CheckCount(num_first, 4)) return r.status();
-    builder->first_occurrence_.reserve(num_first);
-    for (uint64_t i = 0; i < num_first && r.ok(); ++i) {
-      EventId e = r.I32();
-      if (!check_event(e)) {
-        return Status::ParseError("snapshot does not match log: event id out "
-                                  "of range");
-      }
-      builder->first_occurrence_.push_back(e);
-    }
-    const uint64_t num_groups = r.U64();
-    if (!r.CheckCount(num_groups, 24)) return r.status();
-    builder->groups_.reserve(num_groups);
-    for (uint64_t gi = 0; gi < num_groups && r.ok(); ++gi) {
-      DependencyGraphBuilder::TraceGroup group;
-      const uint64_t num_events = r.U64();
-      if (!r.CheckCount(num_events, 4)) break;
-      group.events.reserve(num_events);
-      for (uint64_t i = 0; i < num_events && r.ok(); ++i) {
-        EventId e = r.I32();
-        if (!check_event(e)) {
-          return Status::ParseError("snapshot does not match log: event id "
-                                    "out of range");
-        }
-        group.events.push_back(e);
-      }
-      const uint64_t num_successions = r.U64();
-      if (!r.CheckCount(num_successions, 8)) break;
-      group.successions.reserve(num_successions);
-      for (uint64_t i = 0; i < num_successions && r.ok(); ++i) {
-        EventId a = r.I32();
-        EventId b = r.I32();
-        if (!check_event(a) || !check_event(b)) {
-          return Status::ParseError("snapshot does not match log: event id "
-                                    "out of range");
-        }
-        group.successions.emplace_back(a, b);
-      }
-      group.multiplicity = r.U64();
-      if (r.ok()) builder->groups_.push_back(std::move(group));
-    }
-    EMS_RETURN_NOT_OK(r.ExpectEnd());
-    return builder;
-  }
 };
 
 std::string EncodeDependencyGraph(const DependencyGraph& g,
@@ -463,57 +375,6 @@ std::string EncodeDependencyGraph(const DependencyGraph& g,
 
 Result<DependencyGraph> DecodeDependencyGraph(std::string_view snapshot) {
   return SnapshotAccess::DecodeGraph(snapshot);
-}
-
-std::string EncodeGraphSummary(const DependencyGraphBuilder& builder) {
-  return SnapshotAccess::EncodeBuilder(builder);
-}
-
-Result<std::unique_ptr<DependencyGraphBuilder>> DecodeGraphSummary(
-    std::string_view snapshot, const EventLog& log) {
-  return SnapshotAccess::DecodeBuilder(snapshot, log);
-}
-
-// ---------------------------------------------------------------------
-// CachedLabelSimilarity
-// ---------------------------------------------------------------------
-
-std::string EncodeLabelCache(const CachedLabelSimilarity& cache) {
-  SnapshotWriter w;
-  w.Str(cache.Name());
-  const auto entries = cache.ExportScores();
-  w.U64(entries.size());
-  for (const auto& [key, score] : entries) {
-    w.Str(key);
-    w.F64(score);
-  }
-  return w.Finish(ArtifactKind::kLabelCache);
-}
-
-Status DecodeLabelCacheInto(std::string_view snapshot,
-                            CachedLabelSimilarity* cache) {
-  EMS_ASSIGN_OR_RETURN(
-      SnapshotReader r,
-      SnapshotReader::Open(snapshot, ArtifactKind::kLabelCache));
-  const std::string name = r.Str();
-  EMS_RETURN_NOT_OK(r.status());
-  if (name != cache->Name()) {
-    return Status::InvalidArgument("label-cache snapshot wraps measure '" +
-                                   name + "', cache wraps '" + cache->Name() +
-                                   "'");
-  }
-  const uint64_t count = r.U64();
-  if (!r.CheckCount(count, 16)) return r.status();
-  std::vector<std::pair<std::string, double>> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    std::string key = r.Str();
-    double score = r.F64();
-    if (r.ok()) entries.emplace_back(std::move(key), score);
-  }
-  EMS_RETURN_NOT_OK(r.ExpectEnd());
-  cache->ImportScores(entries);
-  return Status::OK();
 }
 
 namespace {
@@ -566,85 +427,6 @@ Result<WarmSeed> DecodeWarmSeed(std::string_view snapshot) {
   EMS_RETURN_NOT_OK(r.ExpectEnd());
   seed.valid = true;
   return seed;
-}
-
-std::string EncodeSoftMatch(const prob::SoftMatchResult& soft) {
-  SnapshotWriter w;
-  EncodeMatrix(&w, soft.posterior);
-  w.I32(soft.stats.iterations);
-  w.U8(soft.stats.converged ? 1 : 0);
-  w.F64(soft.stats.final_delta);
-  w.F64(soft.stats.mean_entropy);
-  w.U64(soft.column_prior.size());
-  for (double v : soft.column_prior) w.F64(v);
-  w.U64(soft.map_assignment.size());
-  for (int v : soft.map_assignment) w.I32(v);
-  w.U64(soft.mode.size());
-  for (int v : soft.mode) w.I32(v);
-  w.U64(soft.row_entropy.size());
-  for (double v : soft.row_entropy) w.F64(v);
-  return w.Finish(ArtifactKind::kSoftMatch);
-}
-
-Result<prob::SoftMatchResult> DecodeSoftMatch(std::string_view snapshot) {
-  EMS_ASSIGN_OR_RETURN(
-      SnapshotReader r, SnapshotReader::Open(snapshot, ArtifactKind::kSoftMatch));
-  prob::SoftMatchResult soft;
-  soft.posterior = DecodeMatrix(&r);
-  soft.stats.iterations = r.I32();
-  soft.stats.converged = r.U8() != 0;
-  soft.stats.final_delta = r.F64();
-  soft.stats.mean_entropy = r.F64();
-  const size_t rows = soft.posterior.rows();
-  const size_t cols = soft.posterior.cols();
-
-  const uint64_t priors = r.U64();
-  if (!r.CheckCount(priors, sizeof(double))) return r.status();
-  soft.column_prior.reserve(static_cast<size_t>(priors));
-  for (uint64_t i = 0; i < priors && r.ok(); ++i) {
-    soft.column_prior.push_back(r.F64());
-  }
-  const uint64_t maps = r.U64();
-  if (!r.CheckCount(maps, sizeof(int32_t))) return r.status();
-  soft.map_assignment.reserve(static_cast<size_t>(maps));
-  for (uint64_t i = 0; i < maps && r.ok(); ++i) {
-    soft.map_assignment.push_back(r.I32());
-  }
-  const uint64_t modes = r.U64();
-  if (!r.CheckCount(modes, sizeof(int32_t))) return r.status();
-  soft.mode.reserve(static_cast<size_t>(modes));
-  for (uint64_t i = 0; i < modes && r.ok(); ++i) soft.mode.push_back(r.I32());
-  const uint64_t entropies = r.U64();
-  if (!r.CheckCount(entropies, sizeof(double))) return r.status();
-  soft.row_entropy.reserve(static_cast<size_t>(entropies));
-  for (uint64_t i = 0; i < entropies && r.ok(); ++i) {
-    soft.row_entropy.push_back(r.F64());
-  }
-  EMS_RETURN_NOT_OK(r.ExpectEnd());
-
-  if (soft.stats.iterations < 0) {
-    return Status::InvalidArgument("soft-match snapshot: negative iterations");
-  }
-  if (soft.column_prior.size() != cols ||
-      soft.map_assignment.size() != rows || soft.mode.size() != rows ||
-      soft.row_entropy.size() != rows) {
-    return Status::InvalidArgument(
-        "soft-match snapshot: array lengths inconsistent with posterior "
-        "shape");
-  }
-  for (int v : soft.map_assignment) {
-    if (v < -1 || (v >= 0 && static_cast<size_t>(v) >= cols)) {
-      return Status::InvalidArgument(
-          "soft-match snapshot: MAP column out of range");
-    }
-  }
-  for (int v : soft.mode) {
-    if (v < -1 || (v >= 0 && static_cast<size_t>(v) >= cols)) {
-      return Status::InvalidArgument(
-          "soft-match snapshot: mode column out of range");
-    }
-  }
-  return soft;
 }
 
 }  // namespace store

@@ -19,10 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -31,26 +29,20 @@ namespace ems {
 
 class EventLog;
 class DependencyGraph;
-class DependencyGraphBuilder;
-class CachedLabelSimilarity;
 struct WarmSeed;
-
-namespace prob {
-struct SoftMatchResult;
-}
 
 namespace store {
 
 /// What a snapshot contains; written into the header and into cache
-/// file names, so a key never deserializes as the wrong type.
+/// file names, so a key never deserializes as the wrong type. Numbers
+/// 3, 4 and 7 are retired (graph summary, label cache, soft match: kinds
+/// that were written but never read back) and must not be reused — a
+/// cache directory from an older build may still hold such files.
 enum class ArtifactKind : uint32_t {
   kEventLog = 1,         // interned vocabulary + trace multiset
   kDependencyGraph = 2,  // nodes, adjacency, cached l(v) distances
-  kGraphSummary = 3,     // DependencyGraphBuilder trace-group summary
-  kLabelCache = 4,       // CachedLabelSimilarity score memo
   kCorpusIndex = 5,      // corpus top-k index (src/index/corpus_io.h)
   kSimilarityMatrix = 6,  // warm-start seed: per-direction EMS fixpoints
-  kSoftMatch = 7,         // EM posterior + MAP (src/prob/soft_match.h)
 };
 
 /// Short lowercase name ("log", "graph", ...) used in cache file names;
@@ -153,21 +145,6 @@ std::string EncodeDependencyGraph(const DependencyGraph& g,
                                   bool include_distances = true);
 Result<DependencyGraph> DecodeDependencyGraph(std::string_view snapshot);
 
-/// Trace-group summary of a DependencyGraphBuilder (PR 4). Decoding
-/// binds the summary to `log`, which must be the log the summary was
-/// built from (the store keys summaries by the log's content hash; ids
-/// out of range for `log` fail cleanly).
-std::string EncodeGraphSummary(const DependencyGraphBuilder& builder);
-Result<std::unique_ptr<DependencyGraphBuilder>> DecodeGraphSummary(
-    std::string_view snapshot, const EventLog& log);
-
-/// Label-similarity score memo. The wrapped measure's Name() is
-/// embedded and checked on import, so a memo never replays scores into
-/// a cache over a different measure.
-std::string EncodeLabelCache(const CachedLabelSimilarity& cache);
-Status DecodeLabelCacheInto(std::string_view snapshot,
-                            CachedLabelSimilarity* cache);
-
 /// Warm-start seed (src/core/warm_match.h): both per-direction EMS
 /// fixpoint matrices plus the chain's cold-iteration baseline. The store
 /// keys these by the content hashes of BOTH logs and the match-option
@@ -175,16 +152,6 @@ Status DecodeLabelCacheInto(std::string_view snapshot,
 /// the exact state it is re-matching. Only valid seeds encode.
 std::string EncodeWarmSeed(const WarmSeed& seed);
 Result<WarmSeed> DecodeWarmSeed(std::string_view snapshot);
-
-/// EM soft-match posterior (src/prob/soft_match.h): responsibilities,
-/// column priors, MAP assignment, per-row modes/entropies and the
-/// convergence stats. The store keys these like warm seeds — content
-/// hashes of both logs plus the match-option fingerprint (temperature,
-/// tolerance, iteration caps included), so a cached posterior is only
-/// replayed for the exact run that produced it. Decoding validates all
-/// per-row/per-column array lengths against the posterior shape.
-std::string EncodeSoftMatch(const prob::SoftMatchResult& soft);
-Result<prob::SoftMatchResult> DecodeSoftMatch(std::string_view snapshot);
 
 /// Size EncodeEventLog(log) would produce, computed arithmetically
 /// (no encoding) — the cost estimate for byte-budget caches.

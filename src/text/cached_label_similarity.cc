@@ -1,6 +1,5 @@
 #include "text/cached_label_similarity.h"
 
-#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -69,24 +68,6 @@ double CachedLabelSimilarity::Similarity(std::string_view a,
   std::unique_lock<std::shared_mutex> lock(mu_);
   scores_.emplace(std::move(key), score);
   return score;
-}
-
-std::vector<std::pair<std::string, double>> CachedLabelSimilarity::ExportScores()
-    const {
-  std::vector<std::pair<std::string, double>> entries;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    entries.assign(scores_.begin(), scores_.end());
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return entries;
-}
-
-void CachedLabelSimilarity::ImportScores(
-    const std::vector<std::pair<std::string, double>>& entries) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [key, score] : entries) scores_.emplace(key, score);
 }
 
 }  // namespace ems

@@ -15,8 +15,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "text/label_similarity.h"
 #include "text/qgram.h"
@@ -40,18 +38,6 @@ class CachedLabelSimilarity final : public LabelSimilarity {
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   /// Lookups that computed a fresh score.
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
-  /// Snapshot support (src/store/snapshot.h): the score memo as raw
-  /// (pair key, score) entries, sorted by key so exports of equal caches
-  /// are byte-identical. Thread-safe.
-  std::vector<std::pair<std::string, double>> ExportScores() const;
-
-  /// Pre-seeds the score memo with exported entries. Entries must come
-  /// from a cache wrapping the same measure (the artifact store's
-  /// fingerprint includes Name() to guarantee this); existing entries
-  /// are kept. Profiles are not imported — they rebuild lazily on the
-  /// first miss of a new label. Thread-safe.
-  void ImportScores(const std::vector<std::pair<std::string, double>>& entries);
 
  private:
   // Profiles are immutable after construction and unordered_map never

@@ -12,72 +12,89 @@ namespace ems {
 
 namespace option_internal {
 
-// A row's value as text: the choice name, or the shortest decimal that
-// reads back as the same double (the match options fingerprint hashes
-// this text).
-std::string ValueText(OptionType type, std::string_view choices,
-                      double value) {
-  if (type == OptionType::kChoice) {
-    const std::vector<std::string> names = Split(choices, '|');
-    const auto i = static_cast<size_t>(value);
-    return i < names.size() ? names[i] : "?";
-  }
+namespace {
+
+std::string NumberText(double value) {
   char buf[32];
   return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 // "in [0, 1]", "in (0, 1)", ">= 1", "> 0", or empty when unbounded.
-std::string RangeText(double min, double max, bool min_open, bool max_open) {
-  if (!std::isfinite(min)) return "";
-  const std::string lo = ValueText(OptionType::kNumber, {}, min);
-  if (!std::isfinite(max)) return (min_open ? "> " : ">= ") + lo;
-  return std::string("in ") + (min_open ? "(" : "[") + lo + ", " +
-         ValueText(OptionType::kNumber, {}, max) + (max_open ? ")" : "]");
+std::string RangeText(const Row& row) {
+  if (!std::isfinite(row.min)) return "";
+  const std::string lo = NumberText(row.min);
+  if (!std::isfinite(row.max)) return (row.min_open ? "> " : ">= ") + lo;
+  return std::string("in ") + (row.min_open ? "(" : "[") + lo + ", " +
+         NumberText(row.max) + (row.max_open ? ")" : "]");
 }
 
-Status WrongType(std::string_view key, OptionType type,
-                 std::string_view choices) {
+}  // namespace
+
+std::string ValueText(const Row& row, double value) {
+  if (row.type != OptionType::kChoice) return NumberText(value);
+  const std::vector<std::string> names = Split(row.choices, '|');
+  const auto i = static_cast<size_t>(value);
+  return i < names.size() ? names[i] : "?";
+}
+
+Status CheckRange(const Row& row, double value) {
+  if ((row.min_open ? value <= row.min : value < row.min) ||
+      (row.max_open ? value >= row.max : value > row.max)) {
+    return Status::InvalidArgument(std::string(row.key) + " must be " +
+                                   RangeText(row));
+  }
+  return Status::OK();
+}
+
+Status WrongType(const Row& row) {
   static const char* const kExpected[] = {"one of ", "a number", "an integer",
                                           "true or false", "text"};
-  std::string expected = kExpected[static_cast<int>(type)];
-  if (type == OptionType::kChoice) expected += choices;
-  return Status::InvalidArgument(std::string(key) + " must be " + expected);
+  std::string expected = kExpected[static_cast<int>(row.type)];
+  if (row.type == OptionType::kChoice) expected += row.choices;
+  return Status::InvalidArgument(std::string(row.key) + " must be " +
+                                 expected);
 }
 
-bool ParseValue(OptionType type, std::string_view choices,
-                std::string_view text, double* out) {
-  if (type == OptionType::kChoice) {
-    const std::vector<std::string> names = Split(choices, '|');
+Status ParseValue(const Row& row, std::string_view text, double* out) {
+  if (row.type == OptionType::kFlag) {
+    *out = 1;
+    if (text.empty()) return Status::OK();
+    return Status::InvalidArgument(std::string(row.key) + " takes no value");
+  }
+  bool ok;
+  if (row.type == OptionType::kChoice) {
+    const std::vector<std::string> names = Split(row.choices, '|');
     const auto it = std::find(names.begin(), names.end(), text);
     *out = static_cast<double>(it - names.begin());
-    return it != names.end();
+    ok = it != names.end();
+  } else if (row.type == OptionType::kNumber) {
+    ok = ParseNumber(text, out);
+  } else {
+    long long integer = 0;
+    constexpr long long kMax = 1LL << 53;  // exact as double
+    ok = ParseNumber(text, &integer) && integer <= kMax && integer >= -kMax;
+    *out = static_cast<double>(integer);
   }
-  if (type == OptionType::kNumber) return ParseNumber(text, out);
-  long long integer = 0;
-  constexpr long long kMax = 1LL << 53;  // exact as double
-  if (!ParseNumber(text, &integer) || integer > kMax || integer < -kMax) {
-    return false;
-  }
-  *out = static_cast<double>(integer);
-  return true;
+  return ok ? Status::OK() : WrongType(row);
 }
 
-std::string UsageLine(std::string_view key, OptionType type,
-                      std::string_view choices, std::string_view doc,
-                      const std::string& range, const std::string& fallback) {
+std::string UsageLine(const Row& row) {
   constexpr size_t kDocColumn = 30;
-  std::string line = "  --" + std::string(key);
+  std::string line = "  --" + std::string(row.key);
   std::replace(line.begin(), line.end(), '_', '-');
-  if (type == OptionType::kChoice || type == OptionType::kText) {
-    line.append("=").append(choices);
-  } else if (type != OptionType::kFlag) {
-    line += type == OptionType::kInteger ? "=N" : "=F";
+  if (row.type == OptionType::kChoice || row.type == OptionType::kText) {
+    line.append("=").append(row.choices);
+  } else if (row.type != OptionType::kFlag) {
+    line += row.type == OptionType::kInteger ? "=N" : "=F";
   }
   line += line.size() < kDocColumn ? std::string(kDocColumn - line.size(), ' ')
                                    : "\n" + std::string(kDocColumn, ' ');
-  line += doc;
+  line += row.doc;
+  const std::string range = RangeText(row);
   if (!range.empty()) line += ", " + range;
-  if (!fallback.empty()) line += " (default " + fallback + ")";
+  if (row.type != OptionType::kFlag && row.type != OptionType::kText) {
+    line += " (default " + ValueText(row, row.fallback) + ")";
+  }
   return line + "\n";
 }
 

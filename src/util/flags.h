@@ -46,12 +46,11 @@ struct OptionSpec {
   std::string_view doc = {};
 
   /// The field as a double (enums by ordinal, flags as 0/1) and its
-  /// setter, which returns false when the field cannot hold the value.
-  /// A string field reads as 0 and takes the text of a kText row or the
-  /// name of a kChoice row from set_text.
+  /// setter, which returns false when the field cannot hold the value. A
+  /// string field reads as 0 and takes `text`: a kText row's text or a
+  /// kChoice row's name.
   double (*get)(const Target&) = nullptr;
-  bool (*set)(Target*, double) = nullptr;
-  void (*set_text)(Target*, std::string_view) = nullptr;
+  bool (*set)(Target*, double value, std::string_view text) = nullptr;
 };
 
 namespace option_internal {
@@ -64,50 +63,58 @@ double Get(const T& field) {
 }
 
 template <typename T>
-bool Set(double value, T* field) {
-  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
-    constexpr double kExact = 9007199254740992.0;  // 2^53: exact as double
-    if (value < std::max<double>(std::numeric_limits<T>::lowest(), -kExact) ||
-        value > std::min<double>(std::numeric_limits<T>::max(), kExact)) {
-      return false;
-    }
-  }
-  if constexpr (std::is_enum_v<T>) {
+bool Set(double value, std::string_view text, T* field) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    field->assign(text);
+  } else if constexpr (std::is_enum_v<T>) {
     *field = static_cast<T>(static_cast<int>(value));
-  } else if constexpr (!std::is_same_v<T, std::string>) {
+  } else {
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+      constexpr double kExact = 9007199254740992.0;  // 2^53: exact as double
+      if (value < std::max<double>(std::numeric_limits<T>::lowest(), -kExact) ||
+          value > std::min<double>(std::numeric_limits<T>::max(), kExact)) {
+        return false;
+      }
+    }
     *field = static_cast<T>(value);
   }
   return true;
 }
 
-template <typename T>
-void SetText(std::string_view text, T* field) {
-  if constexpr (std::is_same_v<T, std::string>) field->assign(text);
-}
+// A row without its target: what parsing, checks and usage text read.
+struct Row {
+  template <typename Target>
+  Row(const OptionSpec<Target>& s)  // implicit: helpers take any row
+      : key(s.key), type(s.type), fallback(s.fallback), min(s.min),
+        max(s.max), min_open(s.min_open), max_open(s.max_open),
+        choices(s.choices), doc(s.doc) {}
+  std::string_view key;
+  OptionType type;
+  double fallback, min, max;
+  bool min_open, max_open;
+  std::string_view choices, doc;
+};
 
-// The pieces of a row that do not depend on its target.
-std::string ValueText(OptionType type, std::string_view choices, double value);
-std::string RangeText(double min, double max, bool min_open, bool max_open);
-Status WrongType(std::string_view key, OptionType type,
-                 std::string_view choices);
-// A choice's index or a number consumed in full ("0.8x", " 1", "" and,
-// for an integer, "1e3" fail).
-bool ParseValue(OptionType type, std::string_view choices,
-                std::string_view text, double* out);
-std::string UsageLine(std::string_view key, OptionType type,
-                      std::string_view choices, std::string_view doc,
-                      const std::string& range, const std::string& fallback);
+// The choice name of a kChoice row's value, else the shortest decimal
+// that reads back as the same double (the match options fingerprint
+// hashes this text).
+std::string ValueText(const Row& row, double value);
+// "KEY must be <range>" when `value` is outside the row's range.
+Status CheckRange(const Row& row, double value);
+Status WrongType(const Row& row);
+// A choice's index, a number consumed in full ("0.8x", " 1", "" and, for
+// an integer, "1e3" fail), or 1 for a flag, which takes no text.
+Status ParseValue(const Row& row, std::string_view text, double* out);
+// "  --key=VALUE  doc, range (default X)\n"
+std::string UsageLine(const Row& row);
 
 }  // namespace option_internal
 
-/// The get/set/set_text triple of a row stored in `Target::field`.
+/// The get/set pair of a row stored in `Target::field`.
 #define EMS_OPTION_FIELD(Target, field)                                    \
   .get = [](const Target& t) { return ::ems::option_internal::Get(t.field); }, \
-  .set = [](Target* t, double v) {                                         \
-    return ::ems::option_internal::Set(v, &t->field);                      \
-  },                                                                       \
-  .set_text = [](Target* t, std::string_view s) {                          \
-    ::ems::option_internal::SetText(s, &t->field);                         \
+  .set = [](Target* t, double v, std::string_view s) {                     \
+    return ::ems::option_internal::Set(v, s, &t->field);                   \
   }
 
 /// \brief A Target built from one option table, validating each value.
@@ -122,23 +129,12 @@ class OptionParser {
 
   explicit OptionParser(std::span<const Spec> rows) : rows_(rows) {
     for (const Spec& spec : rows_) {
-      spec.set(&target_, spec.fallback);
-      if (spec.type != OptionType::kChoice) continue;
-      spec.set_text(&target_, option_internal::ValueText(
-                                  spec.type, spec.choices, spec.fallback));
+      if (spec.type != OptionType::kText) Store(spec, spec.fallback);
     }
   }
 
   std::span<const Spec> rows() const { return rows_; }
   const Target& target() const { return target_; }
-
-  /// The row for `key`, or null when the table has none.
-  const Spec* Find(std::string_view key) const {
-    for (const Spec& spec : rows_) {
-      if (spec.key == key) return &spec;
-    }
-    return nullptr;
-  }
 
   /// Whether the row named `key` was set explicitly.
   bool Given(std::string_view key) const {
@@ -147,16 +143,8 @@ class OptionParser {
 
   /// A row's value as a number: a choice index, a flag as 0/1.
   Status Set(const Spec& spec, double value) {
-    if ((spec.min_open ? value <= spec.min : value < spec.min) ||
-        (spec.max_open ? value >= spec.max : value > spec.max)) {
-      return Status::InvalidArgument(
-          std::string(spec.key) + " must be " +
-          option_internal::RangeText(spec.min, spec.max, spec.min_open,
-                                     spec.max_open));
-    }
-    if (!spec.set(&target_, value)) {
-      return option_internal::WrongType(spec.key, spec.type, spec.choices);
-    }
+    EMS_RETURN_NOT_OK(option_internal::CheckRange(spec, value));
+    if (!Store(spec, value)) return option_internal::WrongType(spec);
     given_.push_back(spec.key);
     return Status::OK();
   }
@@ -164,22 +152,13 @@ class OptionParser {
   /// A row's value as text: a choice name, a number consumed in full,
   /// any text for a text row. Flags take no text.
   Status SetText(const Spec& spec, std::string_view text) {
-    if (spec.type == OptionType::kText) {
-      spec.set_text(&target_, text);
-      given_.push_back(spec.key);
-      return Status::OK();
+    if (spec.type != OptionType::kText) {
+      double value;
+      EMS_RETURN_NOT_OK(option_internal::ParseValue(spec, text, &value));
+      return Set(spec, value);
     }
-    if (spec.type == OptionType::kFlag && !text.empty()) {
-      return Status::InvalidArgument(std::string(spec.key) +
-                                     " takes no value");
-    }
-    double value = 1;  // a flag's
-    if (spec.type != OptionType::kFlag &&
-        !option_internal::ParseValue(spec.type, spec.choices, text, &value)) {
-      return option_internal::WrongType(spec.key, spec.type, spec.choices);
-    }
-    EMS_RETURN_NOT_OK(Set(spec, value));
-    if (spec.type == OptionType::kChoice) spec.set_text(&target_, text);
+    spec.set(&target_, 0, text);
+    given_.push_back(spec.key);
     return Status::OK();
   }
 
@@ -187,8 +166,9 @@ class OptionParser {
   /// false when the table has no row for `key`.
   bool SetArg(std::string_view key, std::string_view arg,
               const std::string_view* value, Status* status) {
-    const Spec* spec = Find(key);
-    if (spec == nullptr) return false;
+    const auto spec = std::find_if(rows_.begin(), rows_.end(),
+                                   [&](const Spec& s) { return s.key == key; });
+    if (spec == rows_.end()) return false;
     const bool flag = spec->type == OptionType::kFlag;
     *status = flag == (value != nullptr)
                   ? Status::InvalidArgument(
@@ -199,6 +179,15 @@ class OptionParser {
   }
 
  private:
+  // A kChoice row's string field takes the choice's name; a kText row's
+  // field keeps its own default until set.
+  bool Store(const Spec& spec, double value) {
+    return spec.set(&target_, value,
+                    spec.type == OptionType::kChoice
+                        ? option_internal::ValueText(spec, value)
+                        : std::string());
+  }
+
   std::span<const Spec> rows_;
   Target target_{};
   std::vector<std::string_view> given_;
@@ -209,15 +198,7 @@ template <typename Target>
 std::string OptionsUsage(std::span<const OptionSpec<Target>> rows) {
   std::string out;
   for (const OptionSpec<Target>& spec : rows) {
-    const bool shows_default =
-        spec.type != OptionType::kFlag && spec.type != OptionType::kText;
-    out += option_internal::UsageLine(
-        spec.key, spec.type, spec.choices, spec.doc,
-        option_internal::RangeText(spec.min, spec.max, spec.min_open,
-                                   spec.max_open),
-        shows_default ? option_internal::ValueText(spec.type, spec.choices,
-                                                   spec.fallback)
-                      : "");
+    out += option_internal::UsageLine(spec);
   }
   return out;
 }

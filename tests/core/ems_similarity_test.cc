@@ -10,8 +10,6 @@ namespace {
 
 using testing::BuildPaperGraph1;
 using testing::BuildPaperGraph2;
-using testing::BuildPaperLog1;
-using testing::BuildPaperLog2;
 
 EmsOptions Opts(Direction dir = Direction::kForward) {
   EmsOptions opts;
@@ -176,18 +174,6 @@ TEST(EmsSimilarityTest, EdgeCoefficientBounds) {
   double mid = sim.EdgeCoefficient(0.4, 1.0);
   EXPECT_GT(mid, 0.0);
   EXPECT_LT(mid, 0.8);
-}
-
-TEST(EmsSimilarityTest, LogPipelineConvenienceWrapper) {
-  EventLog log1 = BuildPaperLog1();
-  EventLog log2 = BuildPaperLog2();
-  EmsStats stats;
-  SimilarityMatrix s = ComputeEmsSimilarity(log1, log2, Opts(Direction::kBoth),
-                                            &stats);
-  EXPECT_EQ(s.rows(), log1.NumEvents() + 1);
-  EXPECT_EQ(s.cols(), log2.NumEvents() + 1);
-  EXPECT_GT(stats.iterations, 0);
-  EXPECT_GT(stats.formula_evaluations, 0u);
 }
 
 TEST(EmsSimilarityTest, FrozenRowsAreRespected) {

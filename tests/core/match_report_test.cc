@@ -33,17 +33,5 @@ TEST(MatchReportTest, JsonContainsCorrespondences) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(MatchReportTest, ConformanceJson) {
-  ConformanceReport report;
-  report.vocabulary_overlap = 0.8;
-  report.relation_overlap = 0.6;
-  report.trace_coverage_1in2 = 0.9;
-  report.trace_coverage_2in1 = 0.7;
-  report.f_conformance = 0.7875;
-  std::string json = ConformanceToJson(report);
-  EXPECT_NE(json.find("\"vocabulary_overlap\":0.8"), std::string::npos);
-  EXPECT_NE(json.find("\"f_conformance\":0.7875"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ems

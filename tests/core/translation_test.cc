@@ -89,11 +89,14 @@ TEST(MatchAndCompareTest, MatchingLiftsConformance) {
   MatchOptions match_opts;
   match_opts.ems.alpha = 0.5;
   match_opts.label_measure = LabelMeasure::kQGramCosine;
-  Result<ConformanceReport> matched =
-      MatchAndCompare(pair.log1, pair.log2, match_opts);
-  ASSERT_TRUE(matched.ok());
-  EXPECT_GT(matched->vocabulary_overlap, raw.vocabulary_overlap);
-  EXPECT_GT(matched->trace_coverage_1in2, 0.5);
+  Matcher matcher(match_opts);
+  Result<MatchResult> match = matcher.Match(pair.log1, pair.log2);
+  ASSERT_TRUE(match.ok());
+  EventLog translated =
+      TranslateLog(pair.log1, TranslationTable(match->correspondences));
+  ConformanceReport matched = CrossLogConformance(translated, pair.log2);
+  EXPECT_GT(matched.vocabulary_overlap, raw.vocabulary_overlap);
+  EXPECT_GT(matched.trace_coverage_1in2, 0.5);
 }
 
 }  // namespace

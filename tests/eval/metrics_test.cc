@@ -63,14 +63,6 @@ TEST(GroundTruthTest, RenameRight) {
   EXPECT_TRUE(links.count({"b", "y"}));  // unmapped name kept
 }
 
-TEST(GroundTruthTest, RenameLeft) {
-  GroundTruth truth;
-  truth.AddComplex({"c", "d"}, {"cd"});
-  truth.RenameLeft({{"c", "C"}});
-  EXPECT_TRUE(truth.Links().count({"C", "cd"}));
-  EXPECT_TRUE(truth.Links().count({"d", "cd"}));
-}
-
 TEST(GroundTruthTest, RestrictToVocabularies) {
   GroundTruth truth;
   truth.Add("a", "x");

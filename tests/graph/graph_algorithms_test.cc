@@ -23,49 +23,5 @@ TEST(FrequencyMatrixTest, IncludesArtificialOnRequest) {
   EXPECT_DOUBLE_EQ(m[0][1 + testing::N1], 1.0);  // f(v^X, 1) = f(1)
 }
 
-TEST(NodeFrequenciesTest, MatchesGraph) {
-  DependencyGraph g = testing::BuildPaperGraph1();
-  auto f = NodeFrequencies(g);
-  ASSERT_EQ(f.size(), 6u);
-  EXPECT_DOUBLE_EQ(f[testing::A], 0.4);
-  EXPECT_DOUBLE_EQ(f[testing::C], 1.0);
-}
-
-TEST(TransitiveClosureTest, ReachabilityOnDag) {
-  DependencyGraph g = testing::BuildPaperGraph2();
-  auto closure = TransitiveClosure(g);
-  EXPECT_TRUE(closure[testing::N1][testing::N6]);
-  EXPECT_TRUE(closure[testing::N2][testing::N4]);
-  EXPECT_FALSE(closure[testing::N6][testing::N1]);
-  EXPECT_FALSE(closure[testing::N2][testing::N3]);
-  EXPECT_FALSE(closure[testing::N1][testing::N1]);  // acyclic: no self path
-}
-
-TEST(IsAcyclicTest, DetectsCycles) {
-  EXPECT_TRUE(IsAcyclic(testing::BuildPaperGraph2()));
-  EXPECT_FALSE(IsAcyclic(testing::BuildPaperGraph1()));  // E <-> F
-}
-
-TEST(TopologicalOrderTest, ValidOrderOnDag) {
-  DependencyGraph g = testing::BuildPaperGraph2();
-  auto order = TopologicalOrder(g);
-  ASSERT_EQ(order.size(), 6u);
-  // Every edge must go forward in the order.
-  std::vector<int> pos(g.NumNodes(), -1);
-  for (size_t i = 0; i < order.size(); ++i) {
-    pos[static_cast<size_t>(order[i])] = static_cast<int>(i);
-  }
-  for (NodeId v = 1; v < static_cast<NodeId>(g.NumNodes()); ++v) {
-    for (NodeId w : g.Successors(v)) {
-      if (g.IsArtificial(w)) continue;
-      EXPECT_LT(pos[static_cast<size_t>(v)], pos[static_cast<size_t>(w)]);
-    }
-  }
-}
-
-TEST(TopologicalOrderTest, EmptyOnCyclicGraph) {
-  EXPECT_TRUE(TopologicalOrder(testing::BuildPaperGraph1()).empty());
-}
-
 }  // namespace
 }  // namespace ems

@@ -193,6 +193,7 @@ TEST(MetricsExportTest, MalformedOptionValuesExitTwoWithEmptyStdout) {
        {std::string(EMS_GENERATE_BINARY) + " --pairs=abc " + gen_dir,
         std::string(EMS_EVAL_BINARY) + " --threads=abc " + log1 + " " + log2,
         std::string(EMS_STATS_BINARY) + " --variants=x " + log1,
+        std::string(EMS_LOADGEN_BINARY) + " --connections=x",
         std::string(BENCH_FIXPOINT_BINARY) + " --reps=1x",
         std::string(BENCH_FIXPOINT_BINARY) + " --thread=4"}) {
     const int status =

@@ -1,16 +1,27 @@
-// End-to-end smoke test of the ems_serve binary: pipes three job lines
-// through it and validates the JSON responses and the metrics export.
-// The binary path is injected by CMake as EMS_SERVE_BINARY.
+// End-to-end smoke test of the ems_serve binary: pipes job lines through
+// it and validates the JSON responses and the metrics export, and drives
+// the --socket front end. The binary path is injected by CMake as
+// EMS_SERVE_BINARY.
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <spawn.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
+
+#include "net/wire.h"
 
 namespace ems {
 namespace {
@@ -280,6 +291,102 @@ TEST(ServeSmokeTest, LogLevelControlsStderrVerbosity) {
   std::remove(jobs.c_str());
   std::remove(err_quiet.c_str());
   std::remove(err_debug.c_str());
+}
+
+// The --socket front end: a stale socket file left by a killed server is
+// replaced, each client streams jobs and reads one line per request back,
+// a second server on the live path is refused with exit 2, and SIGTERM
+// drains to exit 0 and unlinks the socket.
+TEST(ServeSmokeTest, SocketFrontEndServesRefusesALivePathAndDrains) {
+  const std::string dir = TempDir();
+  const std::string log1 = dir + "/serve_sock_log1.txt";
+  const std::string log2 = dir + "/serve_sock_log2.txt";
+  const std::string path =
+      dir + "/serve_sock_" + std::to_string(::getpid()) + ".sock";
+  ASSERT_LT(path.size(), sizeof(sockaddr_un{}.sun_path)) << path;
+  WriteFile(log1, "a;b;c;d\na;b;d\na;c;d\n");
+  WriteFile(log2, "a;b;c;d\na;c;b;d\nb;c;d\n");
+
+  // A stale socket: bound, then its owner went away without unlinking.
+  std::remove(path.c_str());
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    path.copy(addr.sun_path, path.size());
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ::close(fd);
+  }
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  ASSERT_FALSE(net::ConnectUnix(path).ok());  // nobody listens
+
+  const std::string socket_flag = "--socket=" + path;
+  std::vector<std::string> args = {EMS_SERVE_BINARY, socket_flag,
+                                   "--threads=2", "--log-level=error"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  pid_t server = -1;
+  ASSERT_EQ(::posix_spawn(&server, EMS_SERVE_BINARY, nullptr, nullptr,
+                          argv.data(), environ),
+            0);
+
+  // The server replaced the stale file once a connect succeeds.
+  Result<int> conn = Status::IOError("not started");
+  for (int i = 0; i < 200 && !conn.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    conn = net::ConnectUnix(path);
+  }
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const std::string pair =
+      "\"log1\":\"" + log1 + "\",\"log2\":\"" + log2 + "\"";
+  ASSERT_TRUE(net::WriteAll(*conn, "{\"id\":\"j1\"," + pair +
+                                       ",\"labels\":\"none\"}\n"
+                                       "{\"id\":\"j2\"," +
+                                       pair +
+                                       "}\n"
+                                       "{\"cmd\":\"stats\",\"id\":\"s1\"}\n")
+                  .ok());
+  ::shutdown(*conn, SHUT_WR);  // end of session: the server answers all
+  std::vector<std::string> lines;
+  net::FdLineReader reader(*conn);
+  for (std::string line; reader.ReadLine(&line);) lines.push_back(line);
+  ::close(*conn);
+  ASSERT_EQ(lines.size(), 3u);
+  std::string all;
+  for (const std::string& l : lines) {
+    EXPECT_TRUE(BalancedJson(l)) << l;
+    EXPECT_NE(l.find("\"status\":\"ok\""), std::string::npos) << l;
+    all += l + "\n";
+  }
+  EXPECT_NE(all.find("{\"id\":\"j1\""), std::string::npos);
+  EXPECT_NE(all.find("{\"id\":\"j2\""), std::string::npos);
+  EXPECT_NE(all.find("{\"id\":\"s1\""), std::string::npos);
+  EXPECT_NE(all.find("\"cmd\":\"stats\""), std::string::npos);
+
+  // A second server must not steal a path a live server answers on.
+  const std::string second = std::string(EMS_SERVE_BINARY) + " " +
+                             socket_flag + " < /dev/null > /dev/null 2>&1";
+  const int refused = std::system(second.c_str());
+  ASSERT_TRUE(WIFEXITED(refused)) << second;
+  EXPECT_EQ(WEXITSTATUS(refused), 2) << second;
+  Result<int> still = net::ConnectUnix(path);  // the first still serves
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  ::close(*still);
+
+  ASSERT_EQ(::kill(server, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(server, &status, 0), server);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_NE(::stat(path.c_str(), &st), 0);  // unlinked on the way out
+
+  std::remove(log1.c_str());
+  std::remove(log2.c_str());
 }
 
 }  // namespace

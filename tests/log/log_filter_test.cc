@@ -14,17 +14,6 @@ EventLog MakeLog() {
   return log;
 }
 
-TEST(FilterByTraceLengthTest, KeepsWindow) {
-  EventLog out = FilterByTraceLength(MakeLog(), 3, 3);
-  EXPECT_EQ(out.NumTraces(), 2u);
-  for (const Trace& t : out.traces()) EXPECT_EQ(t.size(), 3u);
-}
-
-TEST(FilterByTraceLengthTest, EmptyWindowDropsAll) {
-  EventLog out = FilterByTraceLength(MakeLog(), 10, 20);
-  EXPECT_EQ(out.NumTraces(), 0u);
-}
-
 TEST(TraceVariantsTest, CountsAndOrder) {
   std::vector<TraceVariant> variants = TraceVariants(MakeLog());
   ASSERT_EQ(variants.size(), 3u);
@@ -42,43 +31,6 @@ TEST(TraceVariantsTest, DeterministicTieBreak) {
   std::vector<TraceVariant> variants = TraceVariants(log);
   ASSERT_EQ(variants.size(), 2u);
   EXPECT_EQ(variants[0].activities, (std::vector<std::string>{"a"}));
-}
-
-TEST(KeepTopVariantsTest, KeepsDominantBehavior) {
-  EventLog out = KeepTopVariants(MakeLog(), 1);
-  EXPECT_EQ(out.NumTraces(), 2u);  // the two "a b c" traces
-  EXPECT_EQ(out.NumEvents(), 3u);
-}
-
-TEST(KeepTopVariantsTest, LargeKKeepsEverything) {
-  EventLog out = KeepTopVariants(MakeLog(), 100);
-  EXPECT_EQ(out.NumTraces(), 4u);
-}
-
-TEST(ProjectOntoEventsTest, RemovesOtherEvents) {
-  EventLog out = ProjectOntoEvents(MakeLog(), {"a", "c"});
-  EXPECT_EQ(out.NumEvents(), 2u);
-  for (const Trace& t : out.traces()) {
-    for (EventId e : t) {
-      std::string name = out.EventName(e);
-      EXPECT_TRUE(name == "a" || name == "c");
-    }
-  }
-  EXPECT_EQ(out.NumTraces(), 4u);  // traces kept, just shorter
-}
-
-TEST(ProjectOntoEventsTest, UnknownNamesIgnored) {
-  EventLog out = ProjectOntoEvents(MakeLog(), {"a", "zzz"});
-  EXPECT_EQ(out.NumEvents(), 1u);
-}
-
-TEST(FilterRareEventsTest, DropsBelowThreshold) {
-  // d and e occur in 1 of 4 traces (0.25); a in all.
-  EventLog out = FilterRareEvents(MakeLog(), 0.5);
-  EXPECT_EQ(out.FindEvent("d"), kInvalidEvent);
-  EXPECT_EQ(out.FindEvent("e"), kInvalidEvent);
-  EXPECT_NE(out.FindEvent("a"), kInvalidEvent);
-  EXPECT_NE(out.FindEvent("b"), kInvalidEvent);  // 3/4 = 0.75
 }
 
 TEST(SummarizeTest, Counters) {

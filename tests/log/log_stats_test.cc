@@ -55,13 +55,14 @@ TEST(LogStatsTest, SelfFollowsCounted) {
   EXPECT_EQ(stats.FollowsOccurrences(b, b), 1u);
 }
 
-TEST(LogStatsTest, ConditionalFollows) {
+TEST(LogStatsTest, OccurrenceCounts) {
   EventLog log = MakeLog();
   LogStats stats(log);
   EventId a = log.FindEvent("a");
   EventId b = log.FindEvent("b");
   // a occurs 3 times, followed by b twice.
-  EXPECT_DOUBLE_EQ(stats.ConditionalFollows(a, b), 2.0 / 3.0);
+  EXPECT_EQ(stats.EventOccurrences(a), 3u);
+  EXPECT_EQ(stats.FollowsOccurrences(a, b), 2u);
 }
 
 TEST(LogStatsTest, EmptyLog) {

@@ -42,7 +42,7 @@ TEST(MatchOptionsSchemaTest, PerturbingAnyRowChangesTheFingerprint) {
   const uint64_t base = MatchOptionsFingerprint(defaults);
   for (const MatchOptionSpec& spec : MatchOptionSchema()) {
     MatchOptions changed = defaults;
-    spec.set(&changed, OtherValue(spec));
+    spec.set(&changed, OtherValue(spec), "");
     EXPECT_NE(spec.get(changed), spec.get(defaults)) << spec.key;
     EXPECT_NE(MatchOptionsFingerprint(changed), base) << spec.key;
   }

@@ -185,6 +185,34 @@ TEST_F(ArtifactStoreTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(store.Load(c).has_value());
 }
 
+// Kinds 3, 4 and 7 (graph summary, label cache, soft match) are retired.
+// A directory written by an older build may still hold their files: they
+// are never addressed again, count toward the byte budget, and are the
+// first to go once it is exceeded (they are never touched by a hit).
+TEST_F(ArtifactStoreTest, RetiredKindFilesAreEvictedUnderBudget) {
+  for (uint32_t retired : {3u, 4u, 7u}) {
+    EXPECT_STREQ(ArtifactKindName(static_cast<ArtifactKind>(retired)),
+                 "unknown");
+  }
+  const std::string snapshot = SampleSnapshot(std::string(100, 'x'));
+  fs::create_directories(dir_);
+  for (const char* name :
+       {"summary-0000000000000001-0000000000000000.emsnap",
+        "labels-0000000000000001-0000000000000000.emsnap",
+        "soft-0000000000000001-0000000000000000.emsnap"}) {
+    std::ofstream(fs::path(dir_) / name, std::ios::binary) << snapshot;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ArtifactStore store = OpenStore(/*max_bytes=*/snapshot.size() + 10);
+  EXPECT_EQ(store.TotalBytes(), 3 * snapshot.size());
+
+  const ArtifactKey key{ArtifactKind::kEventLog, 1, 0};
+  store.Store(key, snapshot);
+  EXPECT_EQ(Count("store.evictions"), 3u);
+  EXPECT_TRUE(store.Load(key).has_value());
+  EXPECT_EQ(store.TotalBytes(), snapshot.size());
+}
+
 TEST_F(ArtifactStoreTest, ConcurrentLoadsAndStoresAreSafe) {
   ArtifactStore store = OpenStore();
   constexpr int kThreads = 8;

@@ -32,7 +32,6 @@
 #include "serve/log_cache.h"
 #include "serve/match_options_schema.h"
 #include "store/artifact_store.h"
-#include "store/hashing.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/timer.h"
@@ -382,28 +381,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Posterior side outputs (prob runs only): TSV export for external
-  // tooling, and a kSoftMatch snapshot through the artifact store keyed
-  // like warm seeds — both logs' content hashes + the option fingerprint.
-  if (result->soft.has_value()) {
-    if (!flags.prob_out.empty()) {
-      Status st = WritePosteriorTsv(flags.prob_out, *result, *log1, *log2);
-      if (!st.ok()) {
-        std::fprintf(stderr, "error writing %s: %s\n", flags.prob_out.c_str(),
-                     st.ToString().c_str());
-        return 1;
-      }
-    }
-    if (store_ptr != nullptr) {
-      Result<uint64_t> h1 = store::HashFile(flags.positional[0]);
-      Result<uint64_t> h2 = store::HashFile(flags.positional[1]);
-      if (h1.ok() && h2.ok()) {
-        store::ArtifactKey key{
-            store::ArtifactKind::kSoftMatch,
-            store::Hash64(store::HashHex(*h1) + ":" + store::HashHex(*h2)),
-            serve::MatchOptionsFingerprint(match_options)};
-        store_ptr->Store(key, store::EncodeSoftMatch(*result->soft));
-      }
+  // Posterior TSV export for external tooling (prob runs only).
+  if (result->soft.has_value() && !flags.prob_out.empty()) {
+    Status st = WritePosteriorTsv(flags.prob_out, *result, *log1, *log2);
+    if (!st.ok()) {
+      std::fprintf(stderr, "error writing %s: %s\n", flags.prob_out.c_str(),
+                   st.ToString().c_str());
+      return 1;
     }
   }
 

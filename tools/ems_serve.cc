@@ -139,20 +139,28 @@ const OptionSpec<Flags> kFlags[] = {
 // Graceful-drain signal plumbing. The handler may only touch lock-free
 // atomics and async-signal-safe syscalls (write/shutdown), so it pokes
 // the wake pipe, half-closes the in-flight socket-mode connection, and
-// forwards to TcpServer::RequestDrain (itself a CAS + pipe write).
+// forwards to TcpServer::RequestDrain (itself a CAS + pipe write). The
+// handlers stay installed after a mode returns and may run on any thread
+// (the stats exporter's included), so every global they read is atomic
+// and the wake pipe's write end is exchanged to -1 before it is closed: a
+// late signal then finds -1 instead of a number another file has reused.
+// (The read end is polled by the serving thread only.)
 std::atomic<bool> g_drain_requested{false};
 std::atomic<int> g_active_conn_fd{-1};
-int g_signal_pipe[2] = {-1, -1};
-net::TcpServer* g_tcp_server = nullptr;  // set before handlers install
+std::atomic<int> g_signal_pipe_write{-1};  // the handler's wake byte
+std::atomic<net::TcpServer*> g_tcp_server{nullptr};
 
 extern "C" void HandleDrainSignal(int /*signo*/) {
   g_drain_requested.store(true, std::memory_order_release);
-  if (g_tcp_server != nullptr) g_tcp_server->RequestDrain();
+  if (net::TcpServer* server = g_tcp_server.load(std::memory_order_acquire)) {
+    server->RequestDrain();
+  }
   const int conn = g_active_conn_fd.load(std::memory_order_acquire);
   if (conn >= 0) ::shutdown(conn, SHUT_RD);
-  if (g_signal_pipe[1] >= 0) {
+  const int wake = g_signal_pipe_write.load(std::memory_order_acquire);
+  if (wake >= 0) {
     const char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
+    [[maybe_unused]] ssize_t n = ::write(wake, &byte, 1);
   }
 }
 
@@ -201,11 +209,13 @@ int ServeSocket(serve::BatchMatchService& service, const std::string& path) {
     ::close(listen_fd);
     return 1;
   }
-  if (::pipe(g_signal_pipe) != 0) {
+  int wake_pipe[2];
+  if (::pipe(wake_pipe) != 0) {
     LogError(std::string("pipe: ") + std::strerror(errno));
     ::close(listen_fd);
     return 1;
   }
+  g_signal_pipe_write.store(wake_pipe[1], std::memory_order_release);
   InstallDrainHandlers();
   LogInfo("listening on " + path);
   int rc = 1;
@@ -215,7 +225,7 @@ int ServeSocket(serve::BatchMatchService& service, const std::string& path) {
       break;
     }
     struct pollfd fds[2] = {{listen_fd, POLLIN, 0},
-                            {g_signal_pipe[0], POLLIN, 0}};
+                            {wake_pipe[0], POLLIN, 0}};
     if (::poll(fds, 2, -1) < 0) {
       if (errno == EINTR) continue;
       LogError(std::string("poll: ") + std::strerror(errno));
@@ -253,8 +263,8 @@ int ServeSocket(serve::BatchMatchService& service, const std::string& path) {
     }
   }
   ::close(listen_fd);
-  ::close(g_signal_pipe[0]);
-  ::close(g_signal_pipe[1]);
+  ::close(g_signal_pipe_write.exchange(-1, std::memory_order_acq_rel));
+  ::close(wake_pipe[0]);
   ::unlink(path.c_str());
   if (rc == 0) LogInfo("drained; all accepted jobs answered");
   return rc;
@@ -319,7 +329,7 @@ int ServeTcp(const Flags& flags) {
   // The `drain` admin command stops the transport too; signals stop the
   // transport first and the router drains once connections are done.
   router.SetDrainRequestCallback([&server] { server.RequestDrain(); });
-  g_tcp_server = &server;
+  g_tcp_server.store(&server, std::memory_order_release);
   InstallDrainHandlers();
 
   LogInfo("listening on " + endpoint->host + ":" +
@@ -330,13 +340,13 @@ int ServeTcp(const Flags& flags) {
         AnnounceEndpoint(flags.tcp_announce, endpoint->host, server.port());
     if (!announced.ok()) {
       LogError(announced.message());
-      g_tcp_server = nullptr;
+      g_tcp_server.store(nullptr, std::memory_order_release);
       return 1;
     }
   }
 
   const uint64_t served = server.Wait();
-  g_tcp_server = nullptr;
+  g_tcp_server.store(nullptr, std::memory_order_release);
   router.Drain();
   router.WaitDrained();
   LogInfo("drained after " + std::to_string(served) + " connections");
